@@ -28,6 +28,16 @@ NEUSPIN_THREADS=4 cargo test -q --offline
 echo "==> cargo clippy --workspace --all-targets --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# The benchmark is its own crate (nsbench/, outside the workspace):
+# run its self-tests, then a short mc_batch smoke. The smoke's oracle
+# checks every pooled call's `bits_digest` against a one-worker pool
+# and exits non-zero on any mismatch or wrong output.
+echo "==> cargo test -q --offline (nsbench)"
+cargo test --offline -q --manifest-path nsbench/Cargo.toml
+echo "==> nsbench mc_batch smoke"
+cargo run -q --release --offline --manifest-path nsbench/Cargo.toml -- \
+    --workload mc_batch --seed 1 --seconds 2 --trace 0
+
 # Fault-management campaign smoke: a tiny grid end to end, then re-parse
 # the emitted JSON and fail on schema drift or any non-finite value.
 # Smoke output goes under target/ so the tracked full-run artifact in

@@ -16,18 +16,21 @@
 //! measuring a zero floor must keep the window single-threaded.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Pass-through [`System`] allocator that counts allocation events
 /// (alloc, alloc_zeroed, and growth reallocs) while armed.
 pub struct CountingAllocator;
 
 static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
+/// Number of open [`count_allocs`] windows, across all threads: a
+/// depth, not a flag, so one window closing never disarms another
+/// still open on a different thread.
+static COUNTING: AtomicUsize = AtomicUsize::new(0);
 
 #[inline]
 fn tally() {
-    if COUNTING.load(Ordering::Relaxed) {
+    if COUNTING.load(Ordering::Relaxed) != 0 {
         ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -61,15 +64,15 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// Runs `f` with allocation counting armed and returns its result
 /// plus the number of allocation events observed during the call.
 ///
-/// Windows nest safely (the inner window leaves counting armed for
-/// the outer one), but counts are only exact while the window is
-/// single-threaded — see the module docs.
+/// Windows nest safely, on one thread or across threads (counting
+/// stays armed until the last open window closes), but counts are only
+/// exact while the window is single-threaded — see the module docs.
 pub fn count_allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let was_counting = COUNTING.swap(true, Ordering::SeqCst);
+    COUNTING.fetch_add(1, Ordering::SeqCst);
     let before = ALLOC_EVENTS.load(Ordering::SeqCst);
     let out = f();
     let after = ALLOC_EVENTS.load(Ordering::SeqCst);
-    COUNTING.store(was_counting, Ordering::SeqCst);
+    COUNTING.fetch_sub(1, Ordering::SeqCst);
     (out, after - before)
 }
 

@@ -263,6 +263,12 @@ pub struct Crossbar {
     /// preserved. Refreshed by [`Crossbar::refresh_wd`] under the same
     /// discipline as [`Crossbar::invalidate_packed`].
     wd: Vec<f64>,
+    /// Panel-major copy of [`Crossbar::wd`] for the batch kernel:
+    /// `PANEL` columns per panel, each panel `rows × PANEL` contiguous
+    /// (`wp[panel · rows · PANEL + p · PANEL + k] = wd[p · cols +
+    /// panel · PANEL + k]`), the last panel zero-padded. Rebuilt only
+    /// inside [`Crossbar::refresh_wd`], so it can never lag `wd`.
+    wp: Vec<f64>,
     /// Redundant columns fabricated next to the main array.
     spares: Vec<SpareColumn>,
     /// Remap indirection (logical line of each physical line); `None`
@@ -279,6 +285,9 @@ pub struct Crossbar {
     /// Resolved `(physical, logical)` enabled-row pairs, reused by the
     /// batch kernel so steady-state `matmul` calls allocate nothing.
     row_scratch: Vec<(usize, usize)>,
+    /// One sample's nonzero word lines as `(panel offset, x)` in
+    /// ascending physical row order, reused by the batch kernel.
+    nz_scratch: Vec<(usize, f64)>,
     /// Kernel routing policy (see [`KernelPolicy`]); `Auto` by default.
     policy: KernelPolicy,
     /// Lazily (re)built bit-packed weight plane for the XNOR/popcount
@@ -292,6 +301,10 @@ pub struct Crossbar {
     /// keep the historical RNG streams and behaviour bit for bit.
     aging: Option<Box<AgingHook>>,
 }
+
+/// Columns per panel of the batch kernel's panel table
+/// ([`Crossbar::wp`]): one register block of accumulators.
+const PANEL: usize = 8;
 
 /// The per-cell IR-drop denominator table (empty when the effect is
 /// disabled). Entries are computed with the exact expression the seed
@@ -397,6 +410,7 @@ impl Crossbar {
             ir_drop: config.ir_drop,
             ir_denom: ir_denom_table(rows, cols, config.ir_drop),
             wd: vec![0.0; rows * cols],
+            wp: Vec::new(),
             spares: spare_cols,
             row_src: None,
             col_src: None,
@@ -404,6 +418,7 @@ impl Crossbar {
             margin_count: 0,
             scratch: Vec::new(),
             row_scratch: Vec::new(),
+            nz_scratch: Vec::new(),
             policy: KernelPolicy::Auto,
             packed: PackedSlot::Stale,
             packed_calls: 0,
@@ -431,15 +446,26 @@ impl Crossbar {
         self.invalidate_packed();
     }
 
-    /// Rebuilds the folded weight table [`Crossbar::wd`]. Must
-    /// accompany every mutation of `eff` — the same discipline (and the
-    /// same three sites) as [`Crossbar::invalidate_packed`].
+    /// Rebuilds the folded weight table [`Crossbar::wd`] and its
+    /// panel-major copy [`Crossbar::wp`]. Must accompany every mutation
+    /// of `eff` — the same discipline (and the same three sites) as
+    /// [`Crossbar::invalidate_packed`].
     fn refresh_wd(&mut self) {
         if self.ir_denom.is_empty() {
             self.wd.copy_from_slice(&self.eff);
         } else {
             for ((w, &e), &d) in self.wd.iter_mut().zip(&self.eff).zip(&self.ir_denom) {
                 *w = e / d;
+            }
+        }
+        let (rows, cols) = (self.rows, self.cols);
+        self.wp.clear();
+        self.wp.resize(cols.div_ceil(PANEL) * rows * PANEL, 0.0);
+        for (panel, block) in self.wp.chunks_exact_mut(rows * PANEL).enumerate() {
+            let c0 = panel * PANEL;
+            let width = PANEL.min(cols - c0);
+            for (p, dst) in block.chunks_exact_mut(PANEL).enumerate() {
+                dst[..width].copy_from_slice(&self.wd[p * cols + c0..p * cols + c0 + width]);
             }
         }
     }
@@ -1172,7 +1198,9 @@ impl Crossbar {
     ///   mirroring the per-call selection;
     /// * otherwise the scalar row-major kernel runs with the per-call
     ///   bookkeeping hoisted out of the batch loop (row indirection
-    ///   resolved once, scratch sized once, op counts tallied in bulk).
+    ///   resolved once, scratch sized once, op counts tallied in bulk),
+    ///   skipping word lines driven at exactly `0.0` and accumulating
+    ///   `PANEL` columns at a time in registers (see DESIGN.md).
     pub fn matmul(&mut self, inputs: &[f32], n: usize, rng: &mut StdRng) -> Vec<f64> {
         let mut out = vec![0.0f64; n * self.cols];
         self.matmul_into(inputs, n, &mut out, rng);
@@ -1213,7 +1241,10 @@ impl Crossbar {
         }
     }
 
-    /// The hoisted scalar batch kernel (see [`Crossbar::matmul`]).
+    /// The hoisted scalar batch kernel (see [`Crossbar::matmul`]):
+    /// zero-skipping and register-blocked over the panel table
+    /// [`Crossbar::wp`], bit-identical to a per-sample loop of
+    /// [`Crossbar::matvec_reference`].
     fn matmul_scalar_into(&mut self, inputs: &[f32], n: usize, out: &mut [f64], rng: &mut StdRng) {
         let cols = self.cols;
         // The gate pattern and remap are fixed across the batch:
@@ -1230,6 +1261,7 @@ impl Crossbar {
                 self.row_enabled[l].then_some((p, l))
             }));
         }
+        let mut nz = std::mem::take(&mut self.nz_scratch);
         self.counter.cell_reads += (n * self.enabled_count * cols) as u64;
         self.counter.sa_evals += (n * cols) as u64;
         if self.adc.is_some() {
@@ -1239,20 +1271,40 @@ impl Crossbar {
         self.scratch.clear();
         self.scratch.resize(2 * cols, 0.0);
         let col_src = self.col_src.as_deref();
+        let panel_len = self.rows * PANEL;
         for (input, chunk) in
             inputs.chunks_exact(self.rows).zip(out.chunks_exact_mut(cols))
         {
-            let (acc, power) = self.scratch.split_at_mut(cols);
-            acc.fill(0.0);
-            power.fill(0.0);
-            for &(p, l) in &active {
+            // Word lines driven at exactly ±0.0 contribute ±0.0 terms,
+            // and adding ±0.0 to an accumulator that starts at +0.0
+            // never changes its bits (nor does the +0.0 square), so
+            // they are dropped here. The survivors keep ascending
+            // physical order: every column still sums in `p` order.
+            nz.clear();
+            nz.extend(active.iter().filter_map(|&(p, l)| {
                 let x = input[l] as f64;
-                let wd_row = &self.wd[p * cols..(p + 1) * cols];
-                for ((a, pw), &w) in acc.iter_mut().zip(power.iter_mut()).zip(wd_row) {
-                    let term = x * w; // IR denominator pre-folded into `wd`
-                    *a += term;
-                    *pw += term * term;
+                (x != 0.0).then_some((p * PANEL, x))
+            }));
+            let (acc, power) = self.scratch.split_at_mut(cols);
+            for ((panel, acc), power) in self
+                .wp
+                .chunks_exact(panel_len)
+                .zip(acc.chunks_mut(PANEL))
+                .zip(power.chunks_mut(PANEL))
+            {
+                let mut a = [0.0f64; PANEL];
+                let mut pw = [0.0f64; PANEL];
+                for &(off, x) in &nz {
+                    let w: &[f64; PANEL] = panel[off..off + PANEL].try_into().unwrap();
+                    for k in 0..PANEL {
+                        let term = x * w[k]; // IR denominator pre-folded into `wp`
+                        a[k] += term;
+                        pw[k] += term * term;
+                    }
                 }
+                let width = acc.len();
+                acc.copy_from_slice(&a[..width]);
+                power.copy_from_slice(&pw[..width]);
             }
             for (pj, (&a, &pw)) in acc.iter().zip(power.iter()).enumerate() {
                 let mut a = a;
@@ -1273,14 +1325,17 @@ impl Crossbar {
             }
         }
         self.row_scratch = active;
+        self.nz_scratch = nz;
     }
 
     /// Bytes of reusable kernel scratch currently held by this array
-    /// (column accumulators plus the batch row-resolution buffer) — the
-    /// raw material of the `scratch_bytes` telemetry gauge.
+    /// (column accumulators plus the batch kernel's row-resolution and
+    /// nonzero-list buffers) — the raw material of the `scratch_bytes`
+    /// telemetry gauge.
     pub fn scratch_bytes(&self) -> usize {
         self.scratch.capacity() * std::mem::size_of::<f64>()
             + self.row_scratch.capacity() * std::mem::size_of::<(usize, usize)>()
+            + self.nz_scratch.capacity() * std::mem::size_of::<(usize, f64)>()
     }
 
     /// Flips the stored sign of the (non-defective) cell at physical
@@ -1674,7 +1729,7 @@ impl MlcCrossbar {
 mod tests {
     use super::*;
     use neuspin_device::{DefectKind, MtjParams, VariationModel};
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(101)
@@ -2374,6 +2429,156 @@ mod tests {
         check(&mut a, &mut b, &mut ra, &mut rb);
         assert_eq!(a.packed_state(), PackedState::Unsupported);
         assert_eq!(a.packed_calls(), engaged_before, "drifted tile must not engage");
+    }
+
+    /// A full-feature tile config: defects, read noise, IR drop, ADC.
+    fn noisy_config() -> CrossbarConfig {
+        CrossbarConfig {
+            defect_rates: DefectRates::uniform(0.05),
+            read_noise: 0.05,
+            adc_bits: Some(6),
+            ir_drop: 0.07,
+            ..CrossbarConfig::default()
+        }
+    }
+
+    /// `n` samples of `rows` drives mixing `+0.0`, `-0.0` and nonzero
+    /// values; sample 2 is zero (of both signs) on every word line.
+    fn sparse_batch(rows: usize, n: usize) -> Vec<f32> {
+        (0..n * rows)
+            .map(|i| {
+                let (s, r) = (i / rows, i % rows);
+                match if s == 2 { r % 2 } else { (r * 7 + s * 3) % 5 } {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => 0.75,
+                    3 => -1.25,
+                    _ => r as f32 / rows as f32 - 0.5,
+                }
+            })
+            .collect()
+    }
+
+    /// `matmul` on `a` against a per-sample seed-kernel loop on `b`:
+    /// output bits, tallies, margin bits, and the next RNG word.
+    fn assert_matmul_matches_reference_loop(
+        a: &mut Crossbar,
+        b: &mut Crossbar,
+        inputs: &[f32],
+        ra: &mut StdRng,
+        rb: &mut StdRng,
+    ) {
+        let (rows, cols) = (a.rows(), a.cols());
+        let n = inputs.len() / rows;
+        let ya = a.matmul(inputs, n, ra);
+        let mut yb = vec![0.0f64; n * cols];
+        for (input, chunk) in inputs.chunks_exact(rows).zip(yb.chunks_exact_mut(cols)) {
+            chunk.copy_from_slice(&b.matvec_reference(input, rb));
+        }
+        assert_outputs_and_state_match(&ya, &yb, a, b);
+        assert_eq!(ra.clone().next_u64(), rb.clone().next_u64(), "RNG streams diverged");
+    }
+
+    #[test]
+    fn zero_skipping_panel_kernel_matches_reference_loop() {
+        // Column counts below, at, just above, and two panels past the
+        // panel width (partial and zero-padded last panels), on a
+        // remapped, row-gated tile with every non-ideality on, fed
+        // signed zeros and an all-zero sample.
+        let rows = 13;
+        for cols in [1usize, 7, 8, 9, 17] {
+            let w: Vec<f32> =
+                (0..rows * cols).map(|i| if (i * 5) % 3 == 0 { 1.0 } else { -1.0 }).collect();
+            let seed = 300 + cols as u64;
+            let mut ra = StdRng::seed_from_u64(seed);
+            let mut rb = StdRng::seed_from_u64(seed);
+            let mut a = Crossbar::program(&w, rows, cols, &noisy_config(), &mut ra);
+            let mut b = Crossbar::program(&w, rows, cols, &noisy_config(), &mut rb);
+            let row_map: Vec<usize> = (0..rows).map(|i| (i + 5) % rows).collect();
+            let col_map: Vec<usize> = (0..cols).map(|i| (i + 3) % cols).collect();
+            for xbar in [&mut a, &mut b] {
+                xbar.apply_remap(row_map.clone(), col_map.clone());
+                xbar.set_row_enabled(3, false);
+                xbar.set_row_enabled(8, false);
+            }
+            b.set_kernel_policy(KernelPolicy::Reference);
+            for n in [1, 6] {
+                assert_matmul_matches_reference_loop(
+                    &mut a,
+                    &mut b,
+                    &sparse_batch(rows, n),
+                    &mut ra,
+                    &mut rb,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn panel_table_tracks_every_mutation_site() {
+        // The panel table is rebuilt only in `refresh_wd`: after every
+        // effective-weight mutation site the batch kernel must still
+        // match the seed kernel, which reads `wd` directly.
+        let (rows, cols) = (11, 9);
+        let w: Vec<f32> =
+            (0..rows * cols).map(|i| if (i * 3) % 7 < 4 { 1.0 } else { -1.0 }).collect();
+        let aging = neuspin_device::AgingConfig {
+            seed: 9,
+            thermal_stability: 33.0,
+            drift_rate: 0.05,
+            ..neuspin_device::AgingConfig::default()
+        };
+        let build = |seed: u64| {
+            let mut r = StdRng::seed_from_u64(seed);
+            let mut xbar = Crossbar::program_with_spares(&w, rows, cols, 2, &noisy_config(), &mut r);
+            xbar.enable_aging(&aging);
+            (xbar, r)
+        };
+        let (mut a, mut ra) = build(61);
+        let (mut b, mut rb) = build(61);
+        b.set_kernel_policy(KernelPolicy::Reference);
+        let inputs = sparse_batch(rows, 4);
+        let mut check = |a: &mut Crossbar, b: &mut Crossbar| {
+            assert_matmul_matches_reference_loop(a, b, &inputs, &mut ra, &mut rb);
+        };
+        check(&mut a, &mut b);
+
+        let flipped: Vec<f32> = w.iter().map(|v| -v).collect();
+        a.reprogram(&flipped);
+        b.reprogram(&flipped);
+        check(&mut a, &mut b);
+
+        let _ = a.advance_time(3.0);
+        let _ = b.advance_time(3.0);
+        check(&mut a, &mut b);
+
+        a.scrub();
+        b.scrub();
+        check(&mut a, &mut b);
+
+        a.substitute_column(4, 0);
+        b.substitute_column(4, 0);
+        check(&mut a, &mut b);
+
+        a.apply_drift(|w| w * 0.5 + 0.01);
+        b.apply_drift(|w| w * 0.5 + 0.01);
+        check(&mut a, &mut b);
+
+        let row_map: Vec<usize> = (0..rows).map(|i| (i + 4) % rows).collect();
+        let col_map: Vec<usize> = (0..cols).map(|i| (i + 2) % cols).collect();
+        a.apply_remap(row_map.clone(), col_map.clone());
+        b.apply_remap(row_map, col_map);
+        check(&mut a, &mut b);
+
+        // A differently aged twin's checkpoint lands on both.
+        let (mut c, _) = build(61);
+        let _ = c.advance_time(5.0);
+        c.apply_drift(|w| w * 0.8);
+        c.flip_stored_sign(1, 2);
+        let state = c.export_state();
+        a.import_state(&state);
+        b.import_state(&state);
+        check(&mut a, &mut b);
     }
 
     #[test]
