@@ -29,9 +29,12 @@ echo "==> cargo clippy --workspace --all-targets --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # The benchmark is its own crate (nsbench/, outside the workspace):
-# run its self-tests, then a short mc_batch smoke. The smoke's oracle
+# lint it strictly too, since it builds against the core API, then run
+# its self-tests and a short mc_batch smoke. The smoke's oracle
 # checks every pooled call's `bits_digest` against a one-worker pool
 # and exits non-zero on any mismatch or wrong output.
+echo "==> cargo clippy --offline (nsbench) -- -D warnings"
+cargo clippy --offline --manifest-path nsbench/Cargo.toml --all-targets -- -D warnings
 echo "==> cargo test -q --offline (nsbench)"
 cargo test --offline -q --manifest-path nsbench/Cargo.toml
 echo "==> nsbench mc_batch smoke"
@@ -49,13 +52,14 @@ NEUSPIN_RESULTS=target/ci-results \
     cargo run -q --release --offline -p neuspin-bench --bin exp_faultmgmt -- --check
 
 # Throughput baseline smoke: kernel + MC engine micro-run (bit-identity
-# across engines — including the packed XNOR/popcount path and the
-# planned/legacy/parallel MC engines — is asserted inside the binary),
-# then the schema gate. --check also enforces the packed-kernel floor
-# (every engaged kernel row must show packed ≥ 2× the row-major scalar
-# kernel, with at least one engaged row) and the allocation discipline:
-# a warm planned forward must report exactly zero heap events and zero
-# allocations per extra MC pass. The ≥ 1.3× recorded-baseline speedup
+# across the three kernels — including the packed XNOR/popcount path —
+# and across the seeded MC engine's 1-, 2- and 4-wide pools is asserted
+# inside the binary), then the schema gate, which also requires pooled
+# rows for at least two thread counts. --check also enforces the
+# packed-kernel floor (every engaged kernel row must show packed ≥ 2×
+# the row-major scalar kernel, with at least one engaged row) and the
+# allocation discipline: a warm planned forward must report exactly
+# zero heap events and zero allocations per extra MC pass. The ≥ 1.3× recorded-baseline speedup
 # floor applies to full-mode reports only (fast mode measures a
 # different workload), so it gates the tracked repo-root
 # BENCH_throughput.json whenever that artifact is regenerated.
@@ -69,7 +73,7 @@ NEUSPIN_RESULTS=target/ci-results \
 
 # Telemetry gate: the disabled-telemetry kernel must stay within 2 % of
 # the BENCH_throughput.json baseline the smoke above just wrote, and a
-# fully traced predict_par must be bit-identical (predictions AND trace
+# fully traced predict_seeded must be bit-identical (predictions AND trace
 # bytes) across 1/2/4-worker pools — both enforced by --check, along
 # with the forward-plan metrics (plan_rebuilds_total, the scratch_bytes
 # gauge, and the persistent-replica replica_syncs_total counter must

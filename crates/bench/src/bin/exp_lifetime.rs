@@ -40,13 +40,13 @@
 //! unmanaged die genuinely degrades below t = 0 by more than sampling
 //! noise, dominance is enforced.
 
-use neuspin_bayes::{ece, Method};
+use neuspin_bayes::{ece, Method, Predictive};
 use neuspin_bench::scenarios::{faulty_hardware_config, hard_fault_rates};
 use neuspin_bench::{write_json, Setup};
 use neuspin_cim::{march_test, BistConfig, Crossbar, CrossbarConfig};
 use neuspin_core::json::{self, ToJson};
 use neuspin_core::rng::stream;
-use neuspin_core::{HardwareModel, Supervisor, SupervisorConfig, ThreadPool};
+use neuspin_core::{HardwareModel, ReplicaBank, Supervisor, SupervisorConfig, ThreadPool};
 use neuspin_device::{AgingConfig, TemperatureProfile};
 use neuspin_nn::Tensor;
 use std::process::ExitCode;
@@ -179,6 +179,12 @@ fn aging_config(seed: u64, temperature: f64) -> AgingConfig {
         drift_rate: DRIFT_RATE,
         ..AgingConfig::default()
     }
+}
+
+/// One seeded MC evaluation of a manual arm. The arms age between
+/// evaluations, so every call clones fresh replicas.
+fn evaluate(hw: &mut HardwareModel, inputs: &Tensor, seed: u64, pool: &ThreadPool) -> Predictive {
+    hw.predict_seeded(inputs, seed, pool, &mut ReplicaBank::new())
 }
 
 /// The t = 0 commissioning shared by the manual arms — mirrors
@@ -367,8 +373,8 @@ fn main() -> ExitCode {
         commission_manual(&mut unmanaged, &calib.inputs, master);
         commission_manual(&mut scrub_only, &calib.inputs, master);
 
-        let t0_un = unmanaged.predict_par(&test.inputs, eval_seed, &pool);
-        let t0_scrub = scrub_only.predict_par(&test.inputs, eval_seed, &pool);
+        let t0_un = evaluate(&mut unmanaged, &test.inputs, eval_seed, &pool);
+        let t0_scrub = evaluate(&mut scrub_only, &test.inputs, eval_seed, &pool);
         let acc0_un = t0_un.accuracy(&test.labels);
         let acc0_cl = t0_closed_pred.accuracy(&test.labels);
         println!(
@@ -410,8 +416,8 @@ fn main() -> ExitCode {
             // Closed loop: the supervisor runs the whole ladder.
             let report = sup.step(&test.inputs, DT_HOURS);
 
-            let pred_un = unmanaged.predict_par(&test.inputs, eval_seed, &pool);
-            let pred_scrub = scrub_only.predict_par(&test.inputs, eval_seed, &pool);
+            let pred_un = evaluate(&mut unmanaged, &test.inputs, eval_seed, &pool);
+            let pred_scrub = evaluate(&mut scrub_only, &test.inputs, eval_seed, &pool);
             acc_un = pred_un.accuracy(&test.labels);
             acc_cl = report.predictive.accuracy(&test.labels);
             let gated = report.predictive.gate(sup.abstain_threshold());

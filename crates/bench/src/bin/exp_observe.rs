@@ -8,8 +8,8 @@
 //!    (like-for-like: the comparison is skipped when the baseline was
 //!    recorded in a different fast/full mode). Override the tolerance
 //!    with `NEUSPIN_OBSERVE_TOL` (default `0.02`).
-//! 2. **Tracing is deterministic.** A fully traced `predict_par` is run
-//!    on 1/2/4-worker pools: the `Predictive` must be bit-identical
+//! 2. **Tracing is deterministic.** A fully traced `predict_seeded` is
+//!    run on 1/2/4-worker pools: the `Predictive` must be bit-identical
 //!    *and* the emitted JSONL trace must byte-compare across pools
 //!    (per-thread buffers merged in pass order; no wall-clock data in
 //!    the trace).
@@ -75,11 +75,12 @@ struct Report {
     baseline_found: f64,
     /// disabled / baseline (1.0 when no comparable baseline).
     kernel_overhead_vs_baseline: f64,
-    /// Fully traced `predict_par` bit-identical across 1/2/4 workers.
+    /// Fully traced `predict_seeded` bit-identical across 1/2/4 workers.
     bit_identical: f64,
     /// Emitted JSONL trace byte-identical across 1/2/4 workers.
     trace_identical: f64,
-    /// `predict_par` ns with telemetry off / metrics only / full trace.
+    /// Pooled `predict_seeded` ns with telemetry off / metrics only /
+    /// full trace.
     mc_off_ns: f64,
     mc_metrics_ns: f64,
     mc_trace_ns: f64,
@@ -185,7 +186,7 @@ fn kernel_disabled_ns(fast: bool) -> f64 {
     let input: Vec<f32> = (0..rows).map(|i| ((i * 5) % 9) as f32 / 4.0 - 1.0).collect();
 
     let (reps, calls) = if fast { (6, 100) } else { (10, 400) };
-    xbar.set_reference_kernel(false);
+    xbar.set_kernel_policy(neuspin_cim::KernelPolicy::Auto);
     let mut rng = StdRng::seed_from_u64(0xBEEF);
     for _ in 0..8 {
         black_box(xbar.matvec(&input, &mut rng)); // cache warmup, untimed
@@ -405,7 +406,7 @@ fn check_results() -> ExitCode {
             Ok(1.0) => {}
             Ok(v) => {
                 eprintln!(
-                    "check failed: {key} = {v} — traced predict_par must be deterministic"
+                    "check failed: {key} = {v} — traced predict_seeded must be deterministic"
                 );
                 return ExitCode::FAILURE;
             }
@@ -519,14 +520,15 @@ fn main() -> ExitCode {
     // 2. The throughput CNN.
     let (mut hw, inputs, setup) = build_model(fast);
 
-    // 3. Determinism gate: fully traced predict_par on 1/2/4 workers.
+    // 3. Determinism gate: fully traced predict_seeded on 1/2/4 workers,
+    //    each on freshly cloned replicas.
     let mut preds: Vec<Predictive> = Vec::new();
     let mut traces: Vec<String> = Vec::new();
     for threads in [1usize, 2, 4] {
         telemetry::set_enabled(true, true);
         telemetry::reset();
         let pool = ThreadPool::new(threads);
-        let pred = hw.predict_par(&inputs, PREDICT_SEED, &pool);
+        let pred = hw.predict_seeded(&inputs, PREDICT_SEED, &pool, &mut ReplicaBank::new());
         let events = telemetry::take_trace();
         traces.push(telemetry::trace_to_jsonl(&events));
         preds.push(pred);
@@ -535,7 +537,7 @@ fn main() -> ExitCode {
     let bit_identical = preds.iter().all(|p| *p == preds[0]);
     let trace_identical = traces.iter().all(|t| *t == traces[0]);
     println!(
-        "traced predict_par over 1/2/4 workers: predictions {} | trace bytes {}",
+        "traced predict_seeded over 1/2/4 workers: predictions {} | trace bytes {}",
         if bit_identical { "bit-identical" } else { "DIVERGED" },
         if trace_identical { "identical" } else { "DIVERGED" },
     );
@@ -545,26 +547,27 @@ fn main() -> ExitCode {
     // 4. Enabled-path cost: off vs metrics-only vs metrics+trace.
     let reps = if fast { 2 } else { 3 };
     let pool = ThreadPool::new(2);
+    let mut bank = ReplicaBank::new();
     telemetry::set_enabled(false, false);
     telemetry::reset();
     let mc_off_ns = time_ns_per_call(reps, 1, || {
-        black_box(hw.predict_par(&inputs, PREDICT_SEED, &pool));
+        black_box(hw.predict_seeded(&inputs, PREDICT_SEED, &pool, &mut bank));
     });
     telemetry::set_enabled(true, false);
     telemetry::reset();
     let mc_metrics_ns = time_ns_per_call(reps, 1, || {
-        black_box(hw.predict_par(&inputs, PREDICT_SEED, &pool));
+        black_box(hw.predict_seeded(&inputs, PREDICT_SEED, &pool, &mut bank));
     });
     telemetry::set_enabled(true, true);
     telemetry::reset();
     let mc_trace_ns = time_ns_per_call(reps, 1, || {
-        black_box(hw.predict_par(&inputs, PREDICT_SEED, &pool));
+        black_box(hw.predict_seeded(&inputs, PREDICT_SEED, &pool, &mut bank));
         // Consuming the trace is part of the real enabled-path cost.
         black_box(telemetry::take_trace());
     });
     telemetry::set_enabled(false, false);
     println!(
-        "predict_par: off {:.2} ms | metrics {:.2} ms ({:.2}x) | trace {:.2} ms ({:.2}x)",
+        "predict_seeded: off {:.2} ms | metrics {:.2} ms ({:.2}x) | trace {:.2} ms ({:.2}x)",
         mc_off_ns / 1e6,
         mc_metrics_ns / 1e6,
         mc_metrics_ns / mc_off_ns,
@@ -580,12 +583,11 @@ fn main() -> ExitCode {
     //    replica engine must count its delta resync.
     telemetry::set_enabled(true, true);
     telemetry::reset();
-    let _ = hw.predict_par(&inputs, PREDICT_SEED, &pool);
+    let _ = hw.predict_seeded(&inputs, PREDICT_SEED, &pool, &mut ReplicaBank::new());
     let alt_batch = if fast { 4 } else { 16 };
     let alt = dataset(alt_batch, &setup.style, &mut setup.rng(0x7462)).inputs;
-    let _ = hw.predict_seeded(&alt, PREDICT_SEED);
-    let mut bank = ReplicaBank::new();
-    let _ = hw.predict_par_in(&inputs, PREDICT_SEED, &pool, &mut bank);
+    let _ = hw.predict_seeded(&alt, PREDICT_SEED, &ThreadPool::new(1), &mut ReplicaBank::new());
+    let _ = hw.predict_seeded(&inputs, PREDICT_SEED, &pool, &mut bank);
     let mut scratch = hw.clone();
     let _ = scratch.fault_management(&BistConfig::default(), &mut StdRng::seed_from_u64(0x7461));
     let _ = telemetry::take_trace();
@@ -601,7 +603,7 @@ fn main() -> ExitCode {
         plan_rebuilds_total >= 1.0,
         "a batch-shape change must rebuild the forward plan under metrics"
     );
-    assert!(replica_syncs_total >= 1.0, "predict_par_in must count its replica resync");
+    assert!(replica_syncs_total >= 1.0, "a pooled predict must count its replica resync");
     assert!(scratch_bytes_gauge > 0.0, "a plan rebuild must export the scratch_bytes gauge");
     println!(
         "forward-plan metrics: plan_rebuilds_total {plan_rebuilds_total} | \

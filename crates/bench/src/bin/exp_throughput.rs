@@ -14,14 +14,12 @@
 //!    CI-gated regression floor ([`PACKED_FLOOR`]). All outputs are
 //!    bit-identical across kernels; the ratios are pure kernel wins.
 //! 2. **MC engine** — end-to-end Bayesian prediction on the compiled
-//!    SpinDrop CNN after fault management + calibration, across
-//!    engines: `seq_reference` (seed kernel, sequential), `seq` (the
-//!    planned zero-allocation `predict_seeded`), `seq_legacy` (the
-//!    retained pre-plan `predict_seeded_unplanned`, the allocation
-//!    "before" picture), and `par` (deterministic parallel
-//!    `predict_par`) at 1/2/4 threads and two batch sizes. All engines
-//!    are bit-identical by construction; the binary asserts it on
-//!    every cell.
+//!    SpinDrop CNN after fault management + calibration, through the
+//!    one seeded engine `predict_seeded` at two batch sizes: `seq_reference`
+//!    (seed kernel, 1-wide pool), `seq` (default kernels, 1-wide pool)
+//!    and `par` (2- and 4-wide pools over a persistent replica bank).
+//!    All rows are bit-identical by construction; the binary asserts
+//!    it on every cell.
 //! 3. **Allocation discipline** — the counting global allocator
 //!    ([`neuspin_bench::allocs`]) measures the warm planned forward:
 //!    steady-state MC passes must perform **zero** heap allocations,
@@ -48,15 +46,16 @@
 //! scoped workers time-share one CPU); the kernel speedup carried by
 //! every non-reference engine is the hardware-independent win.
 
-use neuspin_bayes::{ArchConfig, Method};
+use neuspin_bayes::{ArchConfig, Method, Predictive};
 use neuspin_bench::allocs::count_allocs;
 use neuspin_bench::timing::{Harness, Measurement};
 use neuspin_bench::{results_dir, write_json, Setup};
 use neuspin_cim::{BistConfig, Crossbar, KernelPolicy};
 use neuspin_core::json::{self, ToJson};
-use neuspin_core::{HardwareConfig, HardwareModel, ThreadPool};
+use neuspin_core::{HardwareConfig, HardwareModel, ReplicaBank, ThreadPool};
 use neuspin_data::digits::dataset;
 use neuspin_device::DefectRates;
+use neuspin_nn::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -230,6 +229,11 @@ const ALLOC_KEYS: [&str; 6] = [
     "plan_scratch_bytes",
 ];
 
+/// The seeded engine on a 1-wide pool: the sequential rows' workload.
+fn predict_seq(hw: &mut HardwareModel, inputs: &Tensor, seed: u64) -> Predictive {
+    hw.predict_seeded(inputs, seed, &ThreadPool::new(1), &mut ReplicaBank::new())
+}
+
 fn fast_mode() -> bool {
     std::env::var("NEUSPIN_BENCH_FAST").map(|v| v == "1").unwrap_or(false)
 }
@@ -339,7 +343,6 @@ fn check_results() -> ExitCode {
     }
     let fast_mode = finite_num(&value, "fast_mode").unwrap_or(1.0) == 1.0;
     let mut par_threads = Vec::new();
-    let mut legacy_rows = 0usize;
     let mut gated_seq_rows = 0usize;
     for (i, row) in mc.iter().enumerate() {
         let Some(engine) = row.get("engine").and_then(json::Json::as_str) else {
@@ -364,9 +367,6 @@ fn check_results() -> ExitCode {
         if speedup <= 0.0 {
             eprintln!("check failed: mc row {i}: non-positive speedup {speedup}");
             return ExitCode::FAILURE;
-        }
-        if engine == "seq_legacy" {
-            legacy_rows += 1;
         }
         // The end-to-end regression gate: every full-mode `seq` row
         // with a recorded baseline must clear the floor. Fast-mode runs
@@ -395,10 +395,6 @@ fn check_results() -> ExitCode {
         eprintln!(
             "check failed: need par rows for >= 2 thread counts, got {par_threads:?}"
         );
-        return ExitCode::FAILURE;
-    }
-    if legacy_rows == 0 {
-        eprintln!("check failed: no seq_legacy (pre-plan engine) row");
         return ExitCode::FAILURE;
     }
     if !fast_mode && gated_seq_rows == 0 {
@@ -651,7 +647,7 @@ fn main() -> ExitCode {
         }
     };
     let batches: Vec<usize> = if fast { vec![8, 24] } else { vec![32, 128] };
-    let thread_counts = [1usize, 2, 4];
+    let thread_counts = [2usize, 4];
     const PREDICT_SEED: u64 = 0x7457_0001;
 
     let (train, calib, _test) = setup.datasets();
@@ -693,12 +689,12 @@ fn main() -> ExitCode {
     for &batch in &batches {
         let inputs = dataset(batch, &setup.style, &mut setup.rng(0x7460 + batch as u64)).inputs;
 
-        hw.use_reference_kernel(true);
-        let expect = hw.predict_seeded(&inputs, PREDICT_SEED);
+        hw.set_kernel_policy(KernelPolicy::Reference);
+        let expect = predict_seq(&mut hw, &inputs, PREDICT_SEED);
         let ref_ns = time_ns_per_call(reps, 1, || {
-            black_box(hw.predict_seeded(&inputs, PREDICT_SEED));
+            black_box(predict_seq(&mut hw, &inputs, PREDICT_SEED));
         });
-        hw.use_reference_kernel(false);
+        hw.set_kernel_policy(KernelPolicy::Auto);
 
         // The recorded pre-optimization baseline only applies to the
         // full-mode `seq` engine at the batch sizes it was captured at.
@@ -741,28 +737,22 @@ fn main() -> ExitCode {
 
         push("seq_reference", 1, ref_ns, &mut mc);
 
-        let got = hw.predict_seeded(&inputs, PREDICT_SEED);
+        let got = predict_seq(&mut hw, &inputs, PREDICT_SEED);
         assert_eq!(got, expect, "row-major kernel diverged from reference (batch {batch})");
         let seq_ns = time_ns_per_call(reps, 1, || {
-            black_box(hw.predict_seeded(&inputs, PREDICT_SEED));
+            black_box(predict_seq(&mut hw, &inputs, PREDICT_SEED));
         });
         push("seq", 1, seq_ns, &mut mc);
 
-        // The retained pre-plan engine: same kernels, per-pass heap
-        // traffic. Its gap to `seq` is what the forward plan buys.
-        let got = hw.predict_seeded_unplanned(&inputs, PREDICT_SEED);
-        assert_eq!(got, expect, "legacy engine diverged from planned (batch {batch})");
-        let legacy_ns = time_ns_per_call(reps, 1, || {
-            black_box(hw.predict_seeded_unplanned(&inputs, PREDICT_SEED));
-        });
-        push("seq_legacy", 1, legacy_ns, &mut mc);
-
+        // Pooled rows run on a persistent replica bank, the serving
+        // configuration: the untimed first call attaches the replicas.
         for &threads in &thread_counts {
             let pool = ThreadPool::new(threads);
-            let got = hw.predict_par(&inputs, PREDICT_SEED, &pool);
-            assert_eq!(got, expect, "parallel engine diverged ({threads} threads, batch {batch})");
+            let mut bank = ReplicaBank::new();
+            let got = hw.predict_seeded(&inputs, PREDICT_SEED, &pool, &mut bank);
+            assert_eq!(got, expect, "pooled engine diverged ({threads} threads, batch {batch})");
             let par_ns = time_ns_per_call(reps, 1, || {
-                black_box(hw.predict_par(&inputs, PREDICT_SEED, &pool));
+                black_box(hw.predict_seeded(&inputs, PREDICT_SEED, &pool, &mut bank));
             });
             push("par", threads, par_ns, &mut mc);
         }
@@ -782,18 +772,18 @@ fn main() -> ExitCode {
         // Per-call fixed cost of a whole warm prediction (spans, the
         // accumulator, the returned `Predictive`) — informational.
         let (_, warm_predict_alloc_events) = count_allocs(|| {
-            black_box(hw.predict_seeded(&inputs, PREDICT_SEED));
+            black_box(predict_seq(&mut hw, &inputs, PREDICT_SEED));
         });
         // Differential probe: the per-call cost above is independent of
         // the pass count, so extra passes must add exactly zero events.
         let base_passes = hw.passes();
         let (_, base_events) = count_allocs(|| {
-            black_box(hw.predict_seeded(&inputs, PREDICT_SEED));
+            black_box(predict_seq(&mut hw, &inputs, PREDICT_SEED));
         });
         hw.set_passes(base_passes + ALLOC_EXTRA_PASSES);
-        black_box(hw.predict_seeded(&inputs, PREDICT_SEED));
+        black_box(predict_seq(&mut hw, &inputs, PREDICT_SEED));
         let (_, more_events) = count_allocs(|| {
-            black_box(hw.predict_seeded(&inputs, PREDICT_SEED));
+            black_box(predict_seq(&mut hw, &inputs, PREDICT_SEED));
         });
         hw.set_passes(base_passes);
         let allocs_per_extra_pass =

@@ -1003,15 +1003,6 @@ impl Crossbar {
         }
     }
 
-    /// Routes every evaluation through [`Crossbar::matvec_reference`]
-    /// instead of the fast kernels — for equivalence tests and the
-    /// throughput baseline. `false` restores automatic kernel
-    /// selection. Convenience wrapper over
-    /// [`Crossbar::set_kernel_policy`].
-    pub fn set_reference_kernel(&mut self, on: bool) {
-        self.set_kernel_policy(if on { KernelPolicy::Reference } else { KernelPolicy::Auto });
-    }
-
     /// Sets the kernel routing policy. All policies produce
     /// bit-identical outputs, counters, margins, and RNG consumption —
     /// this is a speed/diagnostics knob, never a semantics knob.
@@ -1038,9 +1029,15 @@ impl Crossbar {
 
     /// Number of evaluations the packed XNOR/popcount kernel served
     /// since programming — lets tests and benches assert the fast path
-    /// actually engaged (worker clones do not merge this diagnostic).
+    /// actually engaged.
     pub fn packed_calls(&self) -> u64 {
         self.packed_calls
+    }
+
+    /// Folds packed-kernel evaluations a worker replica served into
+    /// this crossbar's [`Crossbar::packed_calls`].
+    pub fn merge_packed_calls(&mut self, calls: u64) {
+        self.packed_calls += calls;
     }
 
     /// Raw sense-margin accumulator `(sum, count)` — lets the parallel
@@ -2070,7 +2067,7 @@ mod tests {
             xbar.set_row_enabled(3, false);
             xbar.set_row_enabled(7, false);
         }
-        b.set_reference_kernel(true);
+        b.set_kernel_policy(KernelPolicy::Reference);
         for trial in 0..16 {
             let x: Vec<f32> =
                 (0..12).map(|i| ((i * (trial + 3)) % 5) as f32 - 2.0).collect();
@@ -2260,7 +2257,11 @@ mod tests {
             xbar.apply_remap(row_map, col_map);
             xbar.set_row_enabled(2, false);
             xbar.set_row_enabled(11, false);
-            xbar.set_reference_kernel(reference);
+            xbar.set_kernel_policy(if reference {
+                KernelPolicy::Reference
+            } else {
+                KernelPolicy::Auto
+            });
             let y = xbar.matvec(&x, &mut r);
             for (j, (v, &bits)) in y.iter().zip(&GOLDEN_BITS).enumerate() {
                 assert_eq!(

@@ -654,34 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_gauge_tracks_latched_tier_not_raw_score() {
-        let _guard = crate::telemetry::test_lock();
-        crate::telemetry::reset();
-        crate::telemetry::set_enabled(true, false);
-        let gauge = crate::telemetry::gauge("health_tier");
-
-        let mut m = HealthMonitor::new(HealthConfig { window: 1, ..HealthConfig::default() });
-        m.observe(0.5, 10.0);
-        m.freeze_baseline();
-        m.observe(0.64, 10.0); // raw Recalibrate, still dwelling
-        assert_eq!(m.raw_policy(), HealthPolicy::Recalibrate);
-        assert_eq!(gauge.get(), 0.0, "dwelling escalation must not move the gauge");
-        m.observe(0.64, 10.0); // dwell met → latch
-        assert_eq!(gauge.get(), 1.0);
-        // Raw drops back inside the exit band's hover zone: the latch
-        // (and the gauge) must hold, not track the instantaneous score.
-        m.observe(0.62, 10.0);
-        assert_eq!(m.raw_policy(), HealthPolicy::Healthy);
-        assert_eq!(m.policy(), HealthPolicy::Recalibrate);
-        assert_eq!(gauge.get(), 1.0, "gauge must reflect the latched tier");
-        m.observe(0.55, 10.0); // genuine recovery
-        assert_eq!(gauge.get(), 0.0);
-
-        crate::telemetry::set_enabled(false, false);
-        crate::telemetry::reset();
-    }
-
-    #[test]
     fn freeze_baseline_resets_the_latch() {
         let mut m = HealthMonitor::new(HealthConfig {
             window: 1,

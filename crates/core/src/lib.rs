@@ -11,9 +11,15 @@
 //!    normalization → digital periphery.
 //! 3. **Calibrate** the digital norm statistics on the compiled
 //!    hardware ([`HardwareModel::calibrate`]).
-//! 4. **Predict** with hardware-in-the-loop Monte-Carlo passes
-//!    ([`HardwareModel::predict`]), tallying every device event for the
-//!    energy model.
+//! 4. **Predict** with hardware-in-the-loop Monte-Carlo passes,
+//!    tallying every device event for the energy model.
+//!    [`HardwareModel::predict`] draws every pass from one caller
+//!    stream (the paper experiments); [`HardwareModel::predict_seeded`]
+//!    gives each pass its own seeded stream and is bit-identical for
+//!    any [`ThreadPool`] width, fanning passes out over a
+//!    [`ReplicaBank`] (the serving runtime). Both run every pass
+//!    through one allocation-free forward loop, which
+//!    [`HardwareModel::forward_planned`] exposes for single passes.
 //!
 //! Reliability scenarios — process variation, manufacturing defects,
 //! post-calibration drift — are scripted by [`reliability::sweep`].
@@ -66,7 +72,7 @@ pub use extract::TrainedParams;
 pub use health::{HealthConfig, HealthMonitor, HealthPolicy};
 pub use json::{Json, ToJson};
 pub use model::{FaultManagementReport, HardwareConfig, HardwareModel, LayerFaultReport, ReplicaBank};
-pub use pool::{mc_predict_par, mc_predict_par_on, ThreadPool};
+pub use pool::{mc_predict_par, ThreadPool};
 pub use reliability::{reliability_base, sweep, SweepConfig, SweepKind, SweepPoint};
 pub use report::{CorruptionResult, OodResult, Series, Table1Row};
 pub use runtime::{
@@ -113,7 +119,7 @@ mod tests {
             );
             let mut hw = HardwareModel::compile(&mut sw, method, &a, &ideal_config(), &mut rng);
             hw.calibrate(&x, 1, &mut rng);
-            let y = hw.forward(&x, method.is_bayesian(), &mut rng);
+            let y = hw.forward_planned(&x, method.is_bayesian(), &mut rng);
             assert_eq!(y.shape(), &[2, 10], "{method}");
             assert!(y.all_finite(), "{method}");
         }
@@ -136,7 +142,7 @@ mod tests {
         let sw_logits = sw.forward(&x, Mode::Eval, &mut rng);
         let mut hw = HardwareModel::compile(&mut sw, Method::Deterministic, &a, &ideal_config(), &mut rng);
         hw.calibrate(&x, 3, &mut rng);
-        let hw_logits = hw.forward(&x, false, &mut rng);
+        let hw_logits = hw.forward_planned(&x, false, &mut rng);
         let agree = sw_logits
             .argmax_rows()
             .iter()
@@ -154,9 +160,9 @@ mod tests {
         let mut hw = HardwareModel::compile(&mut sw, Method::SpinDrop, &a, &ideal_config(), &mut rng);
         let x = Tensor::from_fn(&[2, 1, 16, 16], |i| (i as f32 * 0.037).sin());
         hw.calibrate(&x, 1, &mut rng);
-        let y1 = hw.forward(&x, true, &mut rng);
-        let y2 = hw.forward(&x, true, &mut rng);
-        assert_ne!(y1, y2, "dropout modules must vary the output");
+        let y1 = hw.forward_planned(&x, true, &mut rng).clone();
+        let y2 = hw.forward_planned(&x, true, &mut rng);
+        assert_ne!(&y1, y2, "dropout modules must vary the output");
         let pred = hw.predict(&x, &mut rng);
         assert_eq!(pred.passes, 4);
         assert!(pred.mutual_information.iter().any(|&mi| mi >= 0.0));
@@ -217,10 +223,10 @@ mod tests {
         let mut hw = HardwareModel::compile(&mut sw, Method::Deterministic, &a, &ideal_config(), &mut rng);
         let x = Tensor::from_fn(&[2, 1, 16, 16], |i| (i as f32 * 0.021).sin());
         hw.calibrate(&x, 1, &mut rng);
-        let before = hw.forward(&x, false, &mut rng);
+        let before = hw.forward_planned(&x, false, &mut rng).clone();
         hw.inject_drift(0.8, 0.2, &mut rng);
-        let after = hw.forward(&x, false, &mut rng);
-        assert_ne!(before, after, "drift must perturb the computation");
+        let after = hw.forward_planned(&x, false, &mut rng);
+        assert_ne!(&before, after, "drift must perturb the computation");
         assert!(after.all_finite());
     }
 
@@ -265,7 +271,7 @@ mod tests {
         assert!((0.0..=1.0).contains(&rate));
         let x = Tensor::from_fn(&[2, 1, 16, 16], |i| (i as f32 * 0.03).sin());
         hw.calibrate(&x, 1, &mut rng);
-        let y = hw.forward(&x, true, &mut rng);
+        let y = hw.forward_planned(&x, true, &mut rng);
         assert!(y.all_finite());
     }
 
@@ -344,40 +350,40 @@ mod tests {
         }
     }
 
+    /// The seeded engine run sequentially (1-wide pool, no replicas).
+    fn seeded(hw: &mut HardwareModel, x: &Tensor, seed: u64) -> neuspin_bayes::Predictive {
+        hw.predict_seeded(x, seed, &ThreadPool::new(1), &mut ReplicaBank::new())
+    }
+
     #[test]
-    fn planned_engine_is_bit_identical_to_unplanned() {
-        let mut planned = noisy_bayesian_model(101);
-        let mut legacy = planned.clone();
+    fn steady_shape_reuses_one_plan() {
+        let mut hw = noisy_bayesian_model(101);
+        // `calibrate` already built the plan for its own batch shape.
+        let calibrated = hw.plan_rebuilds();
         let x = Tensor::from_fn(&[3, 1, 16, 16], |i| ((i * 11 % 37) as f32 / 18.5) - 1.0);
-        for seed in [5u64, 6, 7] {
-            let a = planned.predict_seeded(&x, seed);
-            let b = legacy.predict_seeded_unplanned(&x, seed);
-            assert_predictive_bits_eq(&a, &b);
+        let first = seeded(&mut hw, &x, 5);
+        for _ in 0..2 {
+            assert_predictive_bits_eq(&seeded(&mut hw, &x, 5), &first);
         }
-        // Same op tallies and sense-margin trajectory, pass for pass.
-        assert_eq!(planned.counter(), legacy.counter());
-        assert_eq!(
-            planned.mean_sense_margin().to_bits(),
-            legacy.mean_sense_margin().to_bits(),
-            "planned path must advance margins identically"
-        );
-        assert_eq!(planned.plan_rebuilds(), 1, "steady shape → one plan build");
-        assert!(planned.scratch_bytes() > 0, "arenas must be warm after a pass");
+        assert_eq!(hw.plan_rebuilds() - calibrated, 1, "steady shape → one plan build");
+        assert!(hw.scratch_bytes() > 0, "arenas must be warm after a pass");
     }
 
     #[test]
     fn plan_invalidation_rebuilds_and_stays_bit_identical() {
         let mut hw = noisy_bayesian_model(103);
+        // The first shape is the calibration batch's: its plan is built.
+        let calibrated = hw.plan_rebuilds();
         let shapes: [&[usize]; 4] =
             [&[4, 1, 16, 16], &[2, 1, 16, 16], &[4, 1, 16, 16], &[1, 1, 16, 16]];
         for (i, shape) in shapes.iter().enumerate() {
             let x = Tensor::from_fn(shape, |j| ((j * 13 + i) as f32 * 0.017).cos());
-            let got = hw.predict_seeded(&x, 40 + i as u64);
+            let got = seeded(&mut hw, &x, 40 + i as u64);
             // Ground truth: a fresh model that only ever saw this shape.
             let mut fresh = noisy_bayesian_model(103);
-            let want = fresh.predict_seeded(&x, 40 + i as u64);
+            let want = seeded(&mut fresh, &x, 40 + i as u64);
             assert_predictive_bits_eq(&got, &want);
-            assert_eq!(hw.plan_rebuilds(), i as u64 + 1, "each shape change rebuilds");
+            assert_eq!(hw.plan_rebuilds() - calibrated, i as u64, "each shape change rebuilds");
         }
     }
 
@@ -385,21 +391,22 @@ mod tests {
     fn predict_par_short_circuits_to_bit_identical_sequential() {
         let x = Tensor::from_fn(&[3, 1, 16, 16], |i| (i as f32 * 0.041).sin());
         let mut reference = noisy_bayesian_model(107);
-        let want = reference.predict_seeded(&x, 99);
+        let want = seeded(&mut reference, &x, 99);
         for threads in [1usize, 2, 4] {
             let mut hw = noisy_bayesian_model(107);
-            let pool = ThreadPool::new(threads);
-            let got = hw.predict_par(&x, 99, &pool);
+            let got = hw.predict_seeded(&x, 99, &ThreadPool::new(threads), &mut ReplicaBank::new());
             assert_predictive_bits_eq(&got, &want);
             assert_eq!(hw.counter(), reference.counter(), "{threads} threads");
         }
-        // passes == 1 also short-circuits, on any pool width.
+        // passes == 1 runs inline on any pool width: no replica cloned.
         let mut one = noisy_bayesian_model(107);
         one.set_passes(1);
         let mut one_ref = one.clone();
-        let a = one.predict_par(&x, 3, &ThreadPool::new(4));
-        let b = one_ref.predict_seeded(&x, 3);
+        let mut bank = ReplicaBank::new();
+        let a = one.predict_seeded(&x, 3, &ThreadPool::new(4), &mut bank);
+        let b = seeded(&mut one_ref, &x, 3);
         assert_predictive_bits_eq(&a, &b);
+        assert!(bank.is_empty(), "a 1-pass call must not attach replicas");
     }
 
     #[test]
@@ -412,8 +419,8 @@ mod tests {
         for i in 0..6u64 {
             let n = if i % 2 == 0 { 3 } else { 2 };
             let x = Tensor::from_fn(&[n, 1, 16, 16], |j| ((j as u64 + 31 * i) as f32 * 0.013).sin());
-            let got = served.predict_par_in(&x, 700 + i, &pool, &mut bank);
-            let want = truth.predict_seeded(&x, 700 + i);
+            let got = served.predict_seeded(&x, 700 + i, &pool, &mut bank);
+            let want = seeded(&mut truth, &x, 700 + i);
             assert_predictive_bits_eq(&got, &want);
         }
         assert_eq!(bank.len(), 4, "one persistent replica per pool worker");
@@ -428,8 +435,8 @@ mod tests {
         bank.invalidate();
         assert!(bank.is_empty());
         let x = Tensor::from_fn(&[3, 1, 16, 16], |j| (j as f32 * 0.019).cos());
-        let got = served.predict_par_in(&x, 900, &pool, &mut bank);
-        let want = truth.predict_seeded(&x, 900);
+        let got = served.predict_seeded(&x, 900, &pool, &mut bank);
+        let want = seeded(&mut truth, &x, 900);
         assert_predictive_bits_eq(&got, &want);
         assert_eq!(bank.len(), 4);
     }
@@ -442,7 +449,7 @@ mod tests {
         let mut hw = HardwareModel::compile(&mut sw, Method::Deterministic, &a, &ideal_config(), &mut rng);
         let x = Tensor::zeros(&[1, 1, 16, 16]);
         assert_eq!(hw.counter().cell_reads, 0, "programming excluded from window");
-        let _ = hw.forward(&x, false, &mut rng);
+        let _ = hw.forward_planned(&x, false, &mut rng);
         let after_one = hw.counter().cell_reads;
         assert!(after_one > 0);
         hw.reset_counter();

@@ -8,8 +8,8 @@ use crate::extract::TrainedParams;
 use crate::json::ToJson;
 use crate::pool::ThreadPool;
 use neuspin_bayes::{
-    entropy_threshold_for_coverage, mc_predict_seeded, pass_seeds, quantize, ArchConfig, Gated,
-    McAccumulator, Method, Predictive, SpinBayesConfig,
+    entropy_threshold_for_coverage, pass_seeds, quantize, ArchConfig, Gated, McAccumulator,
+    Method, Predictive, SpinBayesConfig,
 };
 use neuspin_cim::{
     fault_aware_remap, march_test, repair_columns, Arbiter, BistConfig, Crossbar, CrossbarConfig,
@@ -402,41 +402,6 @@ impl HardwareModel {
         self.passes = passes;
     }
 
-    /// One hardware forward pass.
-    pub fn forward(&mut self, x: &Tensor, stochastic: bool, rng: &mut StdRng) -> Tensor {
-        if crate::telemetry::active() {
-            return self.forward_traced(x, stochastic, rng);
-        }
-        let mut cur = x.clone();
-        for block in &mut self.blocks {
-            cur = block.forward(&cur, stochastic, false, rng);
-        }
-        cur
-    }
-
-    /// The telemetry-instrumented twin of [`HardwareModel::forward`]:
-    /// one span per pipeline block carrying the block's op-counter
-    /// delta, plus a whole-pass span with the energy charged to this
-    /// forward. Consumes exactly the same RNG draws as the plain path,
-    /// so traced and untraced runs are bit-identical.
-    fn forward_traced(&mut self, x: &Tensor, stochastic: bool, rng: &mut StdRng) -> Tensor {
-        let mut span = crate::span!("hw_forward", batch = x.shape()[0]);
-        let before = self.raw_counter();
-        let mut cur = x.clone();
-        for (layer, block) in self.blocks.iter_mut().enumerate() {
-            let mut block_span = crate::span!("hw_block", layer = layer, kind = block.kind());
-            let block_before = block.counter();
-            cur = block.forward(&cur, stochastic, false, rng);
-            block_span.record_ops(&block.counter().since(&block_before));
-        }
-        let delta = self.raw_counter().since(&before);
-        // Recorded as a field only: the per-block spans above already
-        // folded these ops into the registry rollup.
-        span.record("ops", delta.to_json());
-        span.record("energy_j", self.energy_model.energy_of(&delta).0);
-        cur
-    }
-
     /// (Re)sizes the forward plan for input `shape`. Returns whether a
     /// rebuild happened: the pass that follows a rebuild regrows every
     /// scratch buffer once; subsequent same-shape passes reuse them.
@@ -453,71 +418,63 @@ impl HardwareModel {
         true
     }
 
-    /// One hardware forward pass through the planned, allocation-free
-    /// path: activations ping-pong between two persistent buffers and
-    /// every block writes through its `forward_into` twin, so a
-    /// steady-state pass (same batch shape as the previous one) touches
-    /// the heap zero times. Bit-identical to [`HardwareModel::forward`]
-    /// — same float-op order, op tallies, and RNG consumption. The
-    /// result lives in an internal buffer; clone it if it must outlive
-    /// the next pass.
+    /// One hardware forward pass: activations ping-pong between two
+    /// persistent buffers and every block writes through its
+    /// `forward_into`, so a steady-state pass (same batch shape as the
+    /// previous one) touches the heap zero times. The result lives in
+    /// an internal buffer; clone it if it must outlive the next pass.
     pub fn forward_planned(
         &mut self,
         x: &Tensor,
         stochastic: bool,
         rng: &mut StdRng,
     ) -> &Tensor {
-        let rebuilt = self.plan_for(x.shape());
-        if crate::telemetry::active() {
-            return self.forward_planned_traced(x, stochastic, rebuilt, rng);
-        }
-        let mut a = std::mem::take(&mut self.ping);
-        let mut b = std::mem::take(&mut self.pong);
-        let mut first = true;
-        for block in &mut self.blocks {
-            let src = if first { x } else { &b };
-            block.forward_into(src, &mut a, stochastic, false, rng);
-            std::mem::swap(&mut a, &mut b);
-            first = false;
-        }
-        self.ping = a;
-        self.pong = b;
-        &self.pong
+        self.pass(x, stochastic, false, rng)
     }
 
-    /// The telemetry-instrumented twin of
-    /// [`HardwareModel::forward_planned`]: emits exactly the span
-    /// structure and annotations of [`HardwareModel::forward`]'s traced
-    /// path, so planned and legacy runs produce byte-identical traces.
-    fn forward_planned_traced(
+    /// The one pass loop behind [`HardwareModel::forward_planned`] and
+    /// [`HardwareModel::calibrate`]. With telemetry active (read once
+    /// per pass) it opens an `hw_forward` span carrying the pass's ops
+    /// and energy and one `hw_block` span per block carrying that
+    /// block's op-counter delta; tracing consumes no RNG, so traced and
+    /// untraced passes are bit-identical.
+    fn pass(
         &mut self,
         x: &Tensor,
         stochastic: bool,
-        rebuilt: bool,
+        calibrating: bool,
         rng: &mut StdRng,
     ) -> &Tensor {
+        let rebuilt = self.plan_for(x.shape());
         let mut span = crate::span!("hw_forward", batch = x.shape()[0]);
-        let before = self.raw_counter();
+        let traced = span.is_active();
+        let before = if traced { self.raw_counter() } else { OpCounter::new() };
         let mut a = std::mem::take(&mut self.ping);
         let mut b = std::mem::take(&mut self.pong);
-        let mut first = true;
         for (layer, block) in self.blocks.iter_mut().enumerate() {
-            let mut block_span = crate::span!("hw_block", layer = layer, kind = block.kind());
-            let block_before = block.counter();
-            let src = if first { x } else { &b };
-            block.forward_into(src, &mut a, stochastic, false, rng);
-            block_span.record_ops(&block.counter().since(&block_before));
+            let src = if layer == 0 { x } else { &b };
+            if traced {
+                let mut block_span = crate::span!("hw_block", layer = layer, kind = block.kind());
+                let block_before = block.counter();
+                block.forward_into(src, &mut a, stochastic, calibrating, rng);
+                block_span.record_ops(&block.counter().since(&block_before));
+            } else {
+                block.forward_into(src, &mut a, stochastic, calibrating, rng);
+            }
             std::mem::swap(&mut a, &mut b);
-            first = false;
         }
         self.ping = a;
         self.pong = b;
-        if rebuilt && crate::telemetry::metrics_enabled() {
-            crate::telemetry::gauge("scratch_bytes").set(self.scratch_bytes() as f64);
+        if traced {
+            if rebuilt && crate::telemetry::metrics_enabled() {
+                crate::telemetry::gauge("scratch_bytes").set(self.scratch_bytes() as f64);
+            }
+            // Recorded as a field only: the per-block spans above
+            // already folded these ops into the registry rollup.
+            let delta = self.raw_counter().since(&before);
+            span.record("ops", delta.to_json());
+            span.record("energy_j", self.energy_model.energy_of(&delta).0);
         }
-        let delta = self.raw_counter().since(&before);
-        span.record("ops", delta.to_json());
-        span.record("energy_j", self.energy_model.energy_of(&delta).0);
         &self.pong
     }
 
@@ -532,7 +489,7 @@ impl HardwareModel {
 
     /// Times the forward plan has been (re)built (see
     /// [`HardwareModel::forward_planned`]); a steady stream of
-    /// same-shape batches holds this at 1.
+    /// same-shape batches leaves this unchanged.
     pub fn plan_rebuilds(&self) -> u64 {
         self.plan_rebuilds
     }
@@ -543,15 +500,12 @@ impl HardwareModel {
     /// the inverted-norm method, which needs no stored statistics.
     pub fn calibrate(&mut self, inputs: &Tensor, rounds: usize, rng: &mut StdRng) {
         for _ in 0..rounds.max(1) {
-            let mut cur = inputs.clone();
-            for block in &mut self.blocks {
-                cur = block.forward(&cur, false, true, rng);
-            }
+            self.pass(inputs, false, true, rng);
         }
     }
 
-    /// Bayesian prediction: `passes` stochastic hardware passes through
-    /// the planned zero-allocation path, aggregated by the shared MC
+    /// Bayesian prediction: `passes` stochastic hardware passes drawing
+    /// from one ambient stream `rng`, aggregated by the shared MC
     /// machinery ([`neuspin_bayes::McAccumulator`]).
     pub fn predict(&mut self, inputs: &Tensor, rng: &mut StdRng) -> Predictive {
         let stochastic = self.method.is_bayesian();
@@ -567,118 +521,24 @@ impl HardwareModel {
         acc.finish()
     }
 
-    /// Seeded sequential Bayesian prediction: like
-    /// [`HardwareModel::predict`], but every MC pass runs on its own RNG
-    /// stream derived from `seed` (the [`neuspin_bayes::pass_seeds`]
-    /// schedule) instead of one shared ambient stream. The reference
-    /// path [`HardwareModel::predict_par`] is bit-identical to, at any
-    /// thread count. Runs through the planned zero-allocation forward;
-    /// [`HardwareModel::predict_seeded_unplanned`] is the retained
-    /// pre-plan engine (bit-identical, allocation-heavy).
-    pub fn predict_seeded(&mut self, inputs: &Tensor, seed: u64) -> Predictive {
-        let stochastic = self.method.is_bayesian();
-        let passes = if stochastic { self.passes } else { 1 };
-        let _span = crate::span!("predict", engine = "seq", passes = passes);
-        let seeds = pass_seeds(seed, passes);
-        let mut acc = McAccumulator::new();
-        let mut probs = std::mem::take(&mut self.probs);
-        for (t, &pass_seed) in seeds.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(pass_seed);
-            let logits = {
-                let _pass = crate::span!("mc_pass", pass = t);
-                self.forward_planned(inputs, stochastic, &mut rng)
-            };
-            softmax_into(logits, &mut probs);
-            acc.push(&probs);
-        }
-        self.probs = probs;
-        acc.finish()
-    }
-
-    /// The pre-plan sequential engine: allocates a fresh activation
-    /// tensor per block per pass. Retained as the "before" baseline of
-    /// the `exp_throughput` allocation/speedup comparison — results and
-    /// traces are bit-identical to [`HardwareModel::predict_seeded`],
-    /// only the memory behavior differs.
-    pub fn predict_seeded_unplanned(&mut self, inputs: &Tensor, seed: u64) -> Predictive {
-        let stochastic = self.method.is_bayesian();
-        let passes = if stochastic { self.passes } else { 1 };
-        let _span = crate::span!("predict", engine = "seq", passes = passes);
-        mc_predict_seeded(passes, seed, |t, rng| {
-            let _pass = crate::span!("mc_pass", pass = t);
-            self.forward(inputs, stochastic, rng)
-        })
-    }
-
-    /// Deterministic parallel Bayesian prediction: the MC passes fan out
-    /// over `pool` workers, each pass on the same per-pass RNG stream
-    /// [`HardwareModel::predict_seeded`] would give it, reduced in pass
-    /// order — so the returned [`Predictive`] is bit-identical for any
-    /// thread count. Each worker runs on a clone of the model; the
-    /// clones' op counters and sense-margin statistics are merged back
-    /// into `self` on join, keeping energy accounting and the health
-    /// monitor accurate.
-    pub fn predict_par(&mut self, inputs: &Tensor, seed: u64, pool: &ThreadPool) -> Predictive {
-        let stochastic = self.method.is_bayesian();
-        let passes = if stochastic { self.passes } else { 1 };
-        let mut span = crate::span!("predict", engine = "par", passes = passes);
-        // Nothing to fan out: run the planned sequential engine inline
-        // (no clone, no merge). Same RNG schedule, reduction order, and
-        // trace bytes as the pooled path, so results stay bit-identical
-        // across thread counts.
-        if passes == 1 || pool.threads() == 1 {
-            return self.mc_inline_par(inputs, seed, passes, stochastic, &mut span);
-        }
-        let base_counter = self.raw_counter();
-        let n_margins = self.crossbar_margins().len();
-        let this: &HardwareModel = self;
-        let (pred, workers) = crate::pool::mc_predict_par(
-            pool,
-            passes,
-            seed,
-            // Margin accumulators start from zero in every clone: the
-            // delta below is then an exact per-worker sum, independent
-            // of the source model's accumulated (non-dyadic) totals —
-            // a `(base + m) - base` subtraction is not.
-            |_| {
-                let mut m = this.clone();
-                m.reset_sense_margins();
-                m
-            },
-            |model: &mut HardwareModel, _, rng| model.forward(inputs, stochastic, rng),
-        );
-        // The one shared merge path (satellite: no bespoke `+=` loops).
-        let counter_delta =
-            OpCounter::merged(workers.iter().map(|w| w.raw_counter().since(&base_counter)));
-        let mut margin_deltas = vec![(0.0f64, 0u64); n_margins];
-        for worker in &workers {
-            for (delta, after) in
-                margin_deltas.iter_mut().zip(worker.crossbar_margins())
-            {
-                delta.0 += after.0;
-                delta.1 += after.1;
-            }
-        }
-        self.extra.merge(&counter_delta);
-        self.merge_crossbar_margins(&margin_deltas);
-        // Field only: worker-side block spans already fed the rollup.
-        span.record("ops", counter_delta.to_json());
-        span.record("energy_j", self.energy_model.energy_of(&counter_delta).0);
-        pred
-    }
-
-    /// [`HardwareModel::predict_par`] over persistent replicas: instead
-    /// of cloning the model per call, the workers run on `bank`'s
-    /// replicas — cloned once when the bank is (re)attached — and their
-    /// op-counter and sense-margin deltas are resynced into `self`
-    /// through the same merge path after every call. Bit-identical to
-    /// [`HardwareModel::predict_seeded`] at any thread count; a
-    /// steady-state call clones nothing.
+    /// Seeded Bayesian prediction, the one deterministic MC engine:
+    /// every pass runs on its own RNG stream derived from `seed` (the
+    /// [`neuspin_bayes::pass_seeds`] schedule) and the passes are reduced
+    /// in pass order, so the returned [`Predictive`] is bit-identical
+    /// for any `pool` width.
+    ///
+    /// A 1-wide pool (or a 1-pass method) runs the passes inline on
+    /// `self`. A wider pool fans them out over `bank`'s replicas —
+    /// cloned once when the bank is (re)attached — and resyncs their
+    /// op-counter, sense-margin and packed-kernel deltas into `self`
+    /// after the call, so energy accounting and the health monitor stay
+    /// exact and a steady-state call clones nothing. Callers without a
+    /// long-lived bank pass a fresh one.
     ///
     /// Call [`ReplicaBank::invalidate`] after any mutation of `self`
     /// (fault management, drift, scrub, recalibration) so the next call
     /// re-clones from the updated weights.
-    pub fn predict_par_in(
+    pub fn predict_seeded(
         &mut self,
         inputs: &Tensor,
         seed: u64,
@@ -687,73 +547,42 @@ impl HardwareModel {
     ) -> Predictive {
         let stochastic = self.method.is_bayesian();
         let passes = if stochastic { self.passes } else { 1 };
-        let mut span = crate::span!("predict", engine = "par", passes = passes);
-        if passes == 1 || pool.threads() == 1 {
-            return self.mc_inline_par(inputs, seed, passes, stochastic, &mut span);
+        let mut span = crate::span!("predict", passes = passes);
+        let (pred, delta) = if passes == 1 || pool.threads() == 1 {
+            let before = self.raw_counter();
+            let pred = self.predict_inline(inputs, seed, passes, stochastic);
+            (pred, self.raw_counter().since(&before))
+        } else {
+            bank.ensure(self, pool.threads().min(passes));
+            let pred = crate::pool::mc_predict_par(
+                pool,
+                passes,
+                seed,
+                &mut bank.replicas,
+                |rep: &mut Replica, _, rng| {
+                    rep.model.forward_planned(inputs, stochastic, rng).clone()
+                },
+            );
+            (pred, self.resync(bank))
+        };
+        // Field only: the block spans already fed the registry rollup.
+        if span.is_active() {
+            span.record("ops", delta.to_json());
+            span.record("energy_j", self.energy_model.energy_of(&delta).0);
         }
-        let workers = pool.threads().min(passes);
-        bank.ensure(self, workers);
-        let pred = crate::pool::mc_predict_par_on(
-            pool,
-            passes,
-            seed,
-            &mut bank.replicas,
-            |rep: &mut Replica, _, rng| rep.model.forward_planned(inputs, stochastic, rng).clone(),
-        );
-        // Resync: fold each replica's delta since its last sync into
-        // the live model through the one shared merge path, then
-        // refresh the bases so the next sync starts clean.
-        let counter_delta = OpCounter::merged(
-            bank.replicas.iter().map(|r| r.model.raw_counter().since(&r.counter_base)),
-        );
-        let mut margin_deltas: Vec<(f64, u64)> = Vec::new();
-        for rep in &bank.replicas {
-            let after = rep.model.crossbar_margins();
-            if margin_deltas.is_empty() {
-                margin_deltas = vec![(0.0, 0); after.len()];
-            }
-            for (delta, (a, b)) in
-                margin_deltas.iter_mut().zip(after.into_iter().zip(&rep.margin_base))
-            {
-                delta.0 += a.0 - b.0;
-                delta.1 += a.1 - b.1;
-            }
-        }
-        self.extra.merge(&counter_delta);
-        self.merge_crossbar_margins(&margin_deltas);
-        for rep in &mut bank.replicas {
-            rep.counter_base = rep.model.raw_counter();
-            // Zero the replica's margin accumulators so the next op's
-            // delta is again an exact zero-based sum — warm and
-            // freshly-cloned banks must produce bit-identical merges
-            // (the checkpoint/restore battery holds this at any
-            // thread count).
-            rep.model.reset_sense_margins();
-            rep.margin_base = rep.model.crossbar_margins();
-        }
-        bank.syncs += 1;
-        if crate::telemetry::metrics_enabled() {
-            crate::telemetry::counter("replica_syncs_total").inc();
-        }
-        span.record("ops", counter_delta.to_json());
-        span.record("energy_j", self.energy_model.energy_of(&counter_delta).0);
         pred
     }
 
-    /// The short-circuit body shared by the parallel engines when there
-    /// is nothing to fan out (`passes == 1` or a single-thread pool):
-    /// the planned sequential loop, but with the softmax inside each
-    /// `mc_pass` span — exactly where the pooled workers put it — so
-    /// the emitted trace byte-compares with every other thread count.
-    fn mc_inline_par(
+    /// The seeded passes run inline on `self`, with the softmax inside
+    /// each `mc_pass` span — exactly where the pooled workers put it —
+    /// so the emitted trace byte-compares with every pool width.
+    fn predict_inline(
         &mut self,
         inputs: &Tensor,
         seed: u64,
         passes: usize,
         stochastic: bool,
-        span: &mut crate::telemetry::SpanGuard,
     ) -> Predictive {
-        let base_counter = self.raw_counter();
         let seeds = pass_seeds(seed, passes);
         let mut acc = McAccumulator::new();
         let mut probs = std::mem::take(&mut self.probs);
@@ -767,22 +596,64 @@ impl HardwareModel {
             acc.push(&probs);
         }
         self.probs = probs;
-        let delta = self.raw_counter().since(&base_counter);
-        span.record("ops", delta.to_json());
-        span.record("energy_j", self.energy_model.energy_of(&delta).0);
         acc.finish()
     }
 
-    /// Per-crossbar sense-margin accumulators `(sum, count)` in pipeline
-    /// order — the snapshot/merge format of the parallel engine.
-    fn crossbar_margins(&self) -> Vec<(f64, u64)> {
+    /// Folds each replica's op-counter, sense-margin and packed-call
+    /// delta since its last sync into `self`, then refreshes the bases
+    /// so the next sync starts clean. Returns the merged op delta.
+    fn resync(&mut self, bank: &mut ReplicaBank) -> OpCounter {
+        let counter_delta = OpCounter::merged(
+            bank.replicas.iter().map(|r| r.model.raw_counter().since(&r.counter_base)),
+        );
+        let mut deltas: Vec<CrossbarTally> = Vec::new();
+        for rep in &bank.replicas {
+            let after = rep.model.crossbar_tallies();
+            if deltas.is_empty() {
+                deltas = vec![CrossbarTally::default(); after.len()];
+            }
+            for (delta, (a, b)) in deltas.iter_mut().zip(after.iter().zip(&rep.tally_base)) {
+                delta.margin_sum += a.margin_sum - b.margin_sum;
+                delta.margin_count += a.margin_count - b.margin_count;
+                delta.packed_calls += a.packed_calls - b.packed_calls;
+            }
+        }
+        self.extra.merge(&counter_delta);
+        self.merge_crossbar_tallies(&deltas);
+        for rep in &mut bank.replicas {
+            rep.counter_base = rep.model.raw_counter();
+            // Zero the replica's margin accumulators so the next op's
+            // delta is again an exact zero-based sum — warm and
+            // freshly-cloned banks must produce bit-identical merges
+            // (the checkpoint/restore battery holds this at any
+            // thread count).
+            rep.model.reset_sense_margins();
+            rep.tally_base = rep.model.crossbar_tallies();
+        }
+        bank.syncs += 1;
+        if crate::telemetry::metrics_enabled() {
+            crate::telemetry::counter("replica_syncs_total").inc();
+        }
+        counter_delta
+    }
+
+    /// Per-crossbar sense-margin accumulators and packed-kernel call
+    /// counts in pipeline order — the snapshot/merge format of the
+    /// replica resync.
+    fn crossbar_tallies(&self) -> Vec<CrossbarTally> {
+        let tally = |(margin_sum, margin_count): (f64, u64), packed_calls: u64| CrossbarTally {
+            margin_sum,
+            margin_count,
+            packed_calls,
+        };
         let mut parts = Vec::new();
         for block in &self.blocks {
             match block {
-                HwBlock::Conv(b) => parts.push(b.xbar.sense_margin_parts()),
-                HwBlock::Fc(b) => parts.push(b.xbar.sense_margin_parts()),
+                HwBlock::Conv(HwConv { xbar, .. }) | HwBlock::Fc(HwFc { xbar, .. }) => {
+                    parts.push(tally(xbar.sense_margin_parts(), xbar.packed_calls()));
+                }
                 HwBlock::FcSpinBayes(b) => {
-                    parts.extend(b.xbars.iter().map(|xb| xb.sense_margin_parts()));
+                    parts.extend(b.xbars.iter().map(|xb| tally(xb.sense_margin_parts(), 0)));
                 }
                 _ => {}
             }
@@ -790,44 +661,27 @@ impl HardwareModel {
         parts
     }
 
-    /// Folds per-crossbar sense-margin deltas (same order as
-    /// [`HardwareModel::crossbar_margins`]) back into the live model.
-    fn merge_crossbar_margins(&mut self, deltas: &[(f64, u64)]) {
+    /// Folds per-crossbar deltas (same order as
+    /// [`HardwareModel::crossbar_tallies`]) back into the live model.
+    fn merge_crossbar_tallies(&mut self, deltas: &[CrossbarTally]) {
         let mut it = deltas.iter();
-        let mut next = || *it.next().expect("margin delta count mismatch");
+        let mut next = || *it.next().expect("crossbar delta count mismatch");
         for block in &mut self.blocks {
             match block {
-                HwBlock::Conv(b) => {
-                    let (sum, count) = next();
-                    b.xbar.merge_sense_margin(sum, count);
-                }
-                HwBlock::Fc(b) => {
-                    let (sum, count) = next();
-                    b.xbar.merge_sense_margin(sum, count);
+                HwBlock::Conv(HwConv { xbar, .. }) | HwBlock::Fc(HwFc { xbar, .. }) => {
+                    let d = next();
+                    xbar.merge_sense_margin(d.margin_sum, d.margin_count);
+                    xbar.merge_packed_calls(d.packed_calls);
                 }
                 HwBlock::FcSpinBayes(b) => {
                     for xb in &mut b.xbars {
-                        let (sum, count) = next();
-                        xb.merge_sense_margin(sum, count);
+                        let d = next();
+                        xb.merge_sense_margin(d.margin_sum, d.margin_count);
                     }
                 }
                 _ => {}
             }
         }
-    }
-
-    /// Routes every binary crossbar through the retained seed kernel
-    /// ([`neuspin_cim::Crossbar::matvec_reference`]) — the "before"
-    /// baseline of the `exp_throughput` comparison. `false` restores
-    /// automatic kernel selection. Outputs are bit-identical either
-    /// way. Convenience wrapper over
-    /// [`HardwareModel::set_kernel_policy`].
-    pub fn use_reference_kernel(&mut self, on: bool) {
-        self.set_kernel_policy(if on {
-            KernelPolicy::Reference
-        } else {
-            KernelPolicy::Auto
-        });
     }
 
     /// Sets the evaluation-kernel routing policy on every binary
@@ -846,8 +700,8 @@ impl HardwareModel {
 
     /// Total evaluations served by the packed XNOR/popcount kernel
     /// across all binary crossbars (see
-    /// [`neuspin_cim::Crossbar::packed_calls`]). Worker clones do not
-    /// merge this diagnostic, so assert engagement on sequential runs.
+    /// [`neuspin_cim::Crossbar::packed_calls`]), including those the
+    /// pool replicas served and resynced back.
     pub fn packed_call_count(&self) -> u64 {
         let mut total = 0;
         for block in &self.blocks {
@@ -1003,18 +857,6 @@ impl HardwareModel {
                 _ => {}
             }
         }
-    }
-
-    /// Deterministic (1-pass, stochastic units off) prediction through
-    /// the planned zero-allocation path.
-    pub fn predict_deterministic(&mut self, inputs: &Tensor, rng: &mut StdRng) -> Predictive {
-        let mut acc = McAccumulator::new();
-        let mut probs = std::mem::take(&mut self.probs);
-        let logits = self.forward_planned(inputs, false, rng);
-        softmax_into(logits, &mut probs);
-        acc.push(&probs);
-        self.probs = probs;
-        acc.finish()
     }
 
     fn raw_counter(&self) -> OpCounter {
@@ -1288,13 +1130,12 @@ impl HardwareModel {
 }
 
 /// Persistent per-worker model replicas for
-/// [`HardwareModel::predict_par_in`]: cloned from the serving model
+/// [`HardwareModel::predict_seeded`]: cloned from the serving model
 /// once at attach time (or after [`ReplicaBank::invalidate`]) and
 /// reused across calls, so steady-state parallel prediction spawns no
-/// per-call clones. Each replica tracks the op-counter and sense-margin
-/// baseline of its last sync; deltas beyond the baseline are folded
-/// back into the live model through the same merge path
-/// [`HardwareModel::predict_par`] uses.
+/// per-call clones. Each replica tracks the op-counter, sense-margin and
+/// packed-call baseline of its last sync; deltas beyond the baseline
+/// are folded back into the live model after every pooled call.
 #[derive(Debug, Default)]
 pub struct ReplicaBank {
     replicas: Vec<Replica>,
@@ -1305,7 +1146,16 @@ pub struct ReplicaBank {
 struct Replica {
     model: HardwareModel,
     counter_base: OpCounter,
-    margin_base: Vec<(f64, u64)>,
+    tally_base: Vec<CrossbarTally>,
+}
+
+/// One crossbar's resynced statistics: the sense-margin accumulator and
+/// the packed-kernel call count (always 0 on MLC arrays).
+#[derive(Debug, Clone, Copy, Default)]
+struct CrossbarTally {
+    margin_sum: f64,
+    margin_count: u64,
+    packed_calls: u64,
 }
 
 impl ReplicaBank {
@@ -1338,11 +1188,12 @@ impl ReplicaBank {
     }
 
     /// Commissions `workers` replicas of `src` unless that many are
-    /// already attached. A replica's counter baseline starts at `src`'s
-    /// current tally (a clone carries it), so the first sync reports
-    /// only ops the replicas themselves performed; margin accumulators
-    /// are zeroed so every sync's delta is an exact zero-based sum
-    /// (bit-identical whether the bank is warm or freshly cloned).
+    /// already attached. A replica's counter and packed-call baselines
+    /// start at `src`'s current tallies (a clone carries them), so the
+    /// first sync reports only work the replicas themselves performed;
+    /// margin accumulators are zeroed so every sync's delta is an exact
+    /// zero-based sum (bit-identical whether the bank is warm or freshly
+    /// cloned).
     fn ensure(&mut self, src: &HardwareModel, workers: usize) {
         if self.replicas.len() == workers {
             return;
@@ -1352,8 +1203,8 @@ impl ReplicaBank {
             let mut model = src.clone();
             model.reset_sense_margins();
             let counter_base = src.raw_counter();
-            let margin_base = model.crossbar_margins();
-            Replica { model, counter_base, margin_base }
+            let tally_base = model.crossbar_tallies();
+            Replica { model, counter_base, tally_base }
         }));
     }
 }

@@ -16,8 +16,9 @@
 //!
 //! Together these make the result bit-identical for 1, 2, or N workers
 //! and to the sequential reference [`neuspin_bayes::mc_predict_seeded`].
-//! Worker states (model clones, whose op counters and sense-margin
-//! tallies advanced) are returned to the caller for merging.
+//! Workers run on caller-owned states (the model's persistent replicas),
+//! whose advanced op counters and sense-margin tallies the caller merges
+//! back after the join.
 
 use neuspin_bayes::{mc_aggregate, pass_seeds, Predictive};
 use neuspin_nn::{softmax, Tensor};
@@ -60,111 +61,26 @@ impl ThreadPool {
         self.threads
     }
 
-    /// Runs `jobs` indexed tasks across the pool and returns
-    /// `(results in job order, final worker states in worker order)`.
+    /// Runs `jobs` indexed tasks across the pool and returns their
+    /// results in job order.
     ///
-    /// Each worker `w` gets one state from `init(w)` and a contiguous
-    /// chunk of job indices (`w·jobs/W .. (w+1)·jobs/W` — deterministic,
-    /// balanced to within one job). Chunking only decides *where* a job
-    /// runs; a job that derives everything from its index computes the
-    /// same value on any worker.
-    ///
-    /// # Panics
-    ///
-    /// A panicking job is caught at the job boundary (the worker's
-    /// remaining chunk is skipped; sibling workers run to completion),
-    /// counted on the `pool_job_panics_total` telemetry counter, and
-    /// re-raised with its *original* payload after all workers have
-    /// joined — the panic of the lowest-indexed failing job wins.
-    pub fn run_chunked<S, T, FI, FJ>(&self, jobs: usize, init: FI, job: FJ) -> (Vec<T>, Vec<S>)
-    where
-        S: Send,
-        T: Send,
-        FI: Fn(usize) -> S + Sync,
-        FJ: Fn(&mut S, usize) -> T + Sync,
-    {
-        if jobs == 0 {
-            return (Vec::new(), Vec::new());
-        }
-        let workers = self.threads.min(jobs);
-        if workers == 1 {
-            let mut state = init(0);
-            let mut results = Vec::with_capacity(jobs);
-            for t in 0..jobs {
-                match run_job(&job, &mut state, t) {
-                    Ok(out) => results.push(out),
-                    Err(panic) => std::panic::resume_unwind(panic.payload),
-                }
-            }
-            return (results, vec![state]);
-        }
-        let init = &init;
-        let job = &job;
-        let (results, states, panic) = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let lo = w * jobs / workers;
-                    let hi = (w + 1) * jobs / workers;
-                    scope.spawn(move || {
-                        let mut state = init(w);
-                        let mut out: Vec<T> = Vec::with_capacity(hi - lo);
-                        for t in lo..hi {
-                            match run_job(job, &mut state, t) {
-                                Ok(v) => out.push(v),
-                                // Stop this chunk: the state may be
-                                // inconsistent mid-panic; siblings keep
-                                // running and the payload is re-raised
-                                // after the join.
-                                Err(panic) => return (out, state, Some(panic)),
-                            }
-                        }
-                        (out, state, None)
-                    })
-                })
-                .collect();
-            let mut results = Vec::with_capacity(jobs);
-            let mut states = Vec::with_capacity(workers);
-            let mut first_panic: Option<JobPanic> = None;
-            for handle in handles {
-                // Workers catch at the job boundary, so a join error can
-                // only come from `init` panicking; surface that as-is.
-                let (out, state, panic) = match handle.join() {
-                    Ok(v) => v,
-                    Err(payload) => {
-                        first_panic.get_or_insert(JobPanic { job: usize::MAX, payload });
-                        continue;
-                    }
-                };
-                results.extend(out);
-                states.push(state);
-                if let Some(p) = panic {
-                    let lower = first_panic.as_ref().is_none_or(|f| p.job < f.job);
-                    if lower {
-                        first_panic = Some(p);
-                    }
-                }
-            }
-            (results, states, first_panic)
-        });
-        if let Some(panic) = panic {
-            std::panic::resume_unwind(panic.payload);
-        }
-        (results, states)
-    }
-
-    /// Like [`ThreadPool::run_chunked`], but each worker borrows one of
-    /// the caller's persistent `states` instead of building a fresh one
-    /// via `init`: worker `w` gets exclusive use of `states[w]` for its
-    /// chunk, and mutations stay visible to the caller afterwards.
-    /// Exactly `threads().min(jobs).min(states.len())` workers run; job
-    /// chunking, result ordering, and the panic discipline match
-    /// [`ThreadPool::run_chunked`].
+    /// Worker `w` gets exclusive use of the caller's `states[w]` and a
+    /// contiguous chunk of job indices (`w·jobs/W .. (w+1)·jobs/W` —
+    /// deterministic, balanced to within one job); state mutations stay
+    /// visible to the caller afterwards. Exactly
+    /// `threads().min(jobs).min(states.len())` workers run. Chunking only
+    /// decides *where* a job runs; a job that derives everything from
+    /// its index computes the same value on any worker.
     ///
     /// # Panics
     ///
-    /// Panics if `states` is empty while `jobs > 0`, or re-raises a
-    /// panicking job's payload like [`ThreadPool::run_chunked`].
-    pub fn run_chunked_on<S, T, FJ>(&self, jobs: usize, states: &mut [S], job: FJ) -> Vec<T>
+    /// Panics if `states` is empty while `jobs > 0`. A panicking job is
+    /// caught at the job boundary (the worker's remaining chunk is
+    /// skipped; sibling workers run to completion), counted on the
+    /// `pool_job_panics_total` telemetry counter, and re-raised with its
+    /// *original* payload after all workers have joined — the panic of
+    /// the lowest-indexed failing job wins.
+    pub fn run_chunked<S, T, FJ>(&self, jobs: usize, states: &mut [S], job: FJ) -> Vec<T>
     where
         S: Send,
         T: Send,
@@ -173,7 +89,7 @@ impl ThreadPool {
         if jobs == 0 {
             return Vec::new();
         }
-        assert!(!states.is_empty(), "run_chunked_on needs at least one state");
+        assert!(!states.is_empty(), "run_chunked needs at least one state");
         let workers = self.threads.min(jobs).min(states.len());
         if workers == 1 {
             let state = &mut states[0];
@@ -200,8 +116,9 @@ impl ThreadPool {
                     for t in lo..hi {
                         match run_job(job, state, t) {
                             Ok(v) => out.push(v),
-                            // Same policy as run_chunked: stop this
-                            // chunk, let siblings finish, re-raise
+                            // Stop this chunk: the state may be
+                            // inconsistent mid-panic; siblings keep
+                            // running and the payload is re-raised
                             // after the join.
                             Err(panic) => return (out, Some(panic)),
                         }
@@ -212,6 +129,8 @@ impl ThreadPool {
             let mut results = Vec::with_capacity(jobs);
             let mut first_panic: Option<JobPanic> = None;
             for handle in handles {
+                // Workers catch at the job boundary, so a join error is
+                // not expected; surface one as-is.
                 let (out, panic) = match handle.join() {
                     Ok(v) => v,
                     Err(payload) => {
@@ -260,76 +179,21 @@ where
 /// `seed` (the [`pass_seeds`] schedule), and reduces the softmaxed
 /// outputs in ascending pass order.
 ///
-/// `init(w)` builds worker `w`'s private state (typically a clone of
-/// the model); `forward(state, t, rng)` must return logits `[N, C]` for
-/// pass `t` using only `state` and `rng` for stochasticity. Under that
+/// Workers run on the caller's `states` (e.g. model replicas cloned
+/// once at commission time), so a steady-state call builds no worker
+/// state; `states.len()` caps the worker count alongside the pool
+/// width. `forward(state, t, rng)` must return logits `[N, C]` for pass
+/// `t` using only `state` and `rng` for stochasticity. Under that
 /// contract the returned [`Predictive`] is bit-identical for any thread
 /// count and to [`neuspin_bayes::mc_predict_seeded`] with the same
-/// seed. The final worker states come back for statistics merging.
-///
-/// # Panics
-///
-/// Panics if `passes == 0`, on inconsistent logit shapes, or if a
-/// worker panics.
-pub fn mc_predict_par<S, FI, FF>(
-    pool: &ThreadPool,
-    passes: usize,
-    seed: u64,
-    init: FI,
-    forward: FF,
-) -> (Predictive, Vec<S>)
-where
-    S: Send,
-    FI: Fn(usize) -> S + Sync,
-    FF: Fn(&mut S, usize, &mut StdRng) -> Tensor + Sync,
-{
-    assert!(passes > 0, "need at least one MC pass");
-    let seeds = pass_seeds(seed, passes);
-    let seeds = &seeds;
-    let forward = &forward;
-    // Telemetry follows the op-counter discipline: each pass buffers
-    // its trace events thread-locally (harvested with a mark/drain
-    // pair) and the harvested buffers are re-appended in ascending
-    // pass order after the join, so the emitted trace byte-compares
-    // for any worker count. Workers inherit the caller's span depth.
-    let telemetry_on = crate::telemetry::active();
-    let base_depth = crate::telemetry::trace_depth();
-    let (results, states) = pool.run_chunked(passes, init, move |state, t| {
-        let mut rng = StdRng::seed_from_u64(seeds[t]);
-        if !telemetry_on {
-            return (softmax(&forward(state, t, &mut rng)), Vec::new());
-        }
-        crate::telemetry::set_trace_depth(base_depth);
-        let mark = crate::telemetry::trace_mark();
-        let probs = {
-            let _pass = crate::span!("mc_pass", pass = t);
-            softmax(&forward(state, t, &mut rng))
-        };
-        (probs, crate::telemetry::take_trace_since(mark))
-    });
-    let (probs, traces): (Vec<Tensor>, Vec<Vec<crate::telemetry::TraceEvent>>) =
-        results.into_iter().unzip();
-    let mut slots: Vec<Option<Tensor>> = probs.into_iter().map(Some).collect();
-    let pred = mc_aggregate(passes, |t| slots[t].take().expect("each pass reduced once"));
-    for events in traces {
-        crate::telemetry::append_trace(events);
-    }
-    (pred, states)
-}
-
-/// [`mc_predict_par`] over persistent worker states: the same
-/// determinism, reduction, and trace-harvest policy, but workers run on
-/// the caller's pre-built `states` (e.g. model replicas cloned once at
-/// commission time) instead of `init`-ing fresh ones each call, so a
-/// steady-state call builds no worker state at all. `states.len()` caps
-/// the worker count alongside the pool width; state mutations (op
-/// counters, margins) stay visible to the caller for merging.
+/// seed. State mutations (op counters, margins) stay visible to the
+/// caller for merging.
 ///
 /// # Panics
 ///
 /// Panics if `passes == 0`, `states` is empty, on inconsistent logit
 /// shapes, or if a worker panics.
-pub fn mc_predict_par_on<S, FF>(
+pub fn mc_predict_par<S, FF>(
     pool: &ThreadPool,
     passes: usize,
     seed: u64,
@@ -344,11 +208,14 @@ where
     let seeds = pass_seeds(seed, passes);
     let seeds = &seeds;
     let forward = &forward;
-    // Same trace discipline as mc_predict_par: buffer per pass, harvest
-    // with a mark/drain pair, re-append in ascending pass order.
+    // Telemetry follows the op-counter discipline: each pass buffers
+    // its trace events thread-locally (harvested with a mark/drain
+    // pair) and the harvested buffers are re-appended in ascending
+    // pass order after the join, so the emitted trace byte-compares
+    // for any worker count. Workers inherit the caller's span depth.
     let telemetry_on = crate::telemetry::active();
     let base_depth = crate::telemetry::trace_depth();
-    let results = pool.run_chunked_on(passes, states, move |state, t| {
+    let results = pool.run_chunked(passes, states, move |state, t| {
         let mut rng = StdRng::seed_from_u64(seeds[t]);
         if !telemetry_on {
             return (softmax(&forward(state, t, &mut rng)), Vec::new());
@@ -383,22 +250,29 @@ mod tests {
 
     #[test]
     fn run_chunked_preserves_job_order() {
-        for threads in [1, 2, 4, 7] {
+        for threads in [1usize, 2, 4, 7] {
             let pool = ThreadPool::new(threads);
-            let (results, states) =
-                pool.run_chunked(10, |w| w, |state, t| (*state, t * t));
-            assert_eq!(results.len(), 10, "{threads} threads");
-            for (t, &(_, sq)) in results.iter().enumerate() {
-                assert_eq!(sq, t * t, "{threads} threads");
-            }
-            assert_eq!(states.len(), threads.min(10));
+            let mut states = vec![0usize; threads];
+            let results = pool.run_chunked(10, &mut states, |s, t| {
+                *s += 1;
+                t * t
+            });
+            assert_eq!(results, (0..10).map(|t| t * t).collect::<Vec<_>>());
+            assert_eq!(
+                states.iter().sum::<usize>(),
+                10,
+                "{threads} threads: every job must run on a caller-owned state"
+            );
+            let busy = states.iter().filter(|&&s| s > 0).count();
+            assert_eq!(busy, threads.min(10), "{threads} threads");
         }
     }
 
     #[test]
     fn run_chunked_chunks_are_contiguous_and_balanced() {
         let pool = ThreadPool::new(3);
-        let (results, _) = pool.run_chunked(8, |w| w, |w, t| (*w, t));
+        let mut workers: Vec<usize> = (0..3).collect();
+        let results = pool.run_chunked(8, &mut workers, |w, t| (*w, t));
         // Worker of each job is non-decreasing and chunk sizes differ
         // by at most one.
         let mut counts = [0usize; 3];
@@ -415,9 +289,8 @@ mod tests {
     #[test]
     fn run_chunked_zero_jobs() {
         let pool = ThreadPool::new(4);
-        let (results, states) = pool.run_chunked(0, |w| w, |_, t| t);
+        let results = pool.run_chunked(0, &mut [0usize; 4], |_, t| t);
         assert!(results.is_empty());
-        assert!(states.is_empty());
     }
 
     #[test]
@@ -429,44 +302,10 @@ mod tests {
             })
         };
         let reference = neuspin_bayes::mc_predict_seeded(9, 77, forward);
-        for threads in [1, 2, 4, 9, 16] {
-            let pool = ThreadPool::new(threads);
-            let (pred, _) =
-                mc_predict_par(&pool, 9, 77, |_| (), |_, t, rng| forward(t, rng));
-            assert_eq!(pred, reference, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn run_chunked_on_uses_caller_states_and_preserves_order() {
-        for threads in [1usize, 2, 4] {
-            let pool = ThreadPool::new(threads);
-            let mut states = vec![0usize; threads];
-            let results = pool.run_chunked_on(10, &mut states, |s, t| {
-                *s += 1;
-                t * t
-            });
-            assert_eq!(results, (0..10).map(|t| t * t).collect::<Vec<_>>());
-            assert_eq!(
-                states.iter().sum::<usize>(),
-                10,
-                "{threads} threads: every job must run on a caller-owned state"
-            );
-        }
-    }
-
-    #[test]
-    fn mc_predict_par_on_matches_init_based_engine() {
-        let forward = |t: usize, rng: &mut StdRng| {
-            Tensor::from_fn(&[2, 3], |i| {
-                (t as f32 * 0.1) + neuspin_device::stats::standard_normal(rng) as f32 + i as f32
-            })
-        };
-        let reference = neuspin_bayes::mc_predict_seeded(9, 77, forward);
-        for threads in [1usize, 3, 8] {
+        for threads in [1usize, 2, 3, 4, 8, 9, 16] {
             let pool = ThreadPool::new(threads);
             let mut states = vec![(); threads];
-            let pred = mc_predict_par_on(&pool, 9, 77, &mut states, |_, t, rng| forward(t, rng));
+            let pred = mc_predict_par(&pool, 9, 77, &mut states, |_, t, rng| forward(t, rng));
             assert_eq!(pred, reference, "{threads} threads");
         }
     }
@@ -483,7 +322,7 @@ mod tests {
     #[should_panic(expected = "at least one MC pass")]
     fn mc_predict_par_rejects_zero_passes() {
         let pool = ThreadPool::new(2);
-        let _ = mc_predict_par(&pool, 0, 1, |_| (), |_, _, _| Tensor::zeros(&[1, 2]));
+        let _ = mc_predict_par(&pool, 0, 1, &mut [(); 2], |_, _, _| Tensor::zeros(&[1, 2]));
     }
 
     #[test]
@@ -493,7 +332,7 @@ mod tests {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 pool.run_chunked(
                     8,
-                    |w| w,
+                    &mut [(); 4],
                     |_, t| {
                         if t == 5 {
                             panic!("job 5 exploded");
@@ -527,7 +366,7 @@ mod tests {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.run_chunked(
                 8,
-                |w| w,
+                &mut [(); 4],
                 |_, t| {
                     if t == 0 {
                         panic!("first job dies");
@@ -551,7 +390,7 @@ mod tests {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.run_chunked(
                 8,
-                |w| w,
+                &mut [(); 4],
                 |_, t| {
                     if t % 2 == 1 {
                         panic!("job {t} failed");
@@ -566,22 +405,5 @@ mod tests {
             .cloned()
             .unwrap_or_default();
         assert_eq!(msg, "job 1 failed", "deterministic: lowest job index is re-raised");
-    }
-
-    #[test]
-    fn job_panics_are_counted_via_telemetry() {
-        let _guard = crate::telemetry::test_lock();
-        crate::telemetry::reset();
-        crate::telemetry::set_enabled(true, false);
-        let counter = crate::telemetry::counter("pool_job_panics_total");
-        let before = counter.get();
-        let pool = ThreadPool::new(2);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run_chunked(4, |w| w, |_, t| if t == 3 { panic!("boom") } else { t })
-        }));
-        assert!(result.is_err());
-        assert_eq!(counter.get() - before, 1, "one panicking job, one count");
-        crate::telemetry::set_enabled(false, false);
-        crate::telemetry::reset();
     }
 }

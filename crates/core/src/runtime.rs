@@ -258,7 +258,7 @@ impl Supervisor {
         self.model.reset_sense_margins();
         let pred =
             self.model
-                .predict_par_in(monitor_batch, self.eval_seed(), &self.pool, &mut self.replicas);
+                .predict_seeded(monitor_batch, self.eval_seed(), &self.pool, &mut self.replicas);
         self.monitor
             .observe(mean(&pred.entropy), self.model.mean_sense_margin());
         self.monitor.freeze_baseline();
@@ -301,7 +301,7 @@ impl Supervisor {
         self.model.reset_sense_margins();
         let pred =
             self.model
-                .predict_par_in(inputs, self.eval_seed(), &self.pool, &mut self.replicas);
+                .predict_seeded(inputs, self.eval_seed(), &self.pool, &mut self.replicas);
         self.monitor
             .observe(mean(&pred.entropy), self.model.mean_sense_margin());
         let policy = self.monitor.policy();
@@ -346,7 +346,7 @@ impl Supervisor {
         self.model.reset_sense_margins();
         let pred = self
             .model
-            .predict_par_in(inputs, seed, &self.pool, &mut self.replicas);
+            .predict_seeded(inputs, seed, &self.pool, &mut self.replicas);
         self.monitor
             .observe(mean(&pred.entropy), self.model.mean_sense_margin());
         let policy = self.monitor.policy();
@@ -469,7 +469,7 @@ impl Supervisor {
         self.model.reset_sense_margins();
         let pred =
             self.model
-                .predict_par_in(inputs, self.eval_seed(), &self.pool, &mut self.replicas);
+                .predict_seeded(inputs, self.eval_seed(), &self.pool, &mut self.replicas);
         self.monitor
             .observe(mean(&pred.entropy), self.model.mean_sense_margin());
         self.monitor.freeze_baseline();

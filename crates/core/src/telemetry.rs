@@ -738,6 +738,8 @@ pub fn test_lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+// Tests that assert exact values of the global registry live in their
+// own binary, `tests/telemetry.rs`, where no other test emits telemetry.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -825,20 +827,6 @@ mod tests {
     }
 
     #[test]
-    fn ops_rollup_uses_op_counter_merge() {
-        with_telemetry(true, false, || {
-            let d1 = OpCounter { cell_reads: 10, adc_converts: 2, ..OpCounter::new() };
-            let d2 = OpCounter { cell_reads: 5, rng_bits: 7, ..OpCounter::new() };
-            record_ops(&d1);
-            record_ops(&d2);
-            let ops = ops_snapshot();
-            let mut expect = d1;
-            expect.merge(&d2);
-            assert_eq!(ops, expect);
-        });
-    }
-
-    #[test]
     fn spans_nest_and_trace_in_exit_order() {
         with_telemetry(false, true, || {
             assert_eq!(trace_depth(), 0);
@@ -902,39 +890,6 @@ mod tests {
             assert_eq!(all.len(), 2);
             assert_eq!(all[0].name, "test_before");
             assert_eq!(all[1].name, "test_job");
-        });
-    }
-
-    #[test]
-    fn span_wall_time_feeds_histogram_not_trace() {
-        with_telemetry(true, true, || {
-            {
-                let _s = span!("test_timed");
-            }
-            let events = take_trace();
-            assert_eq!(events.len(), 1);
-            assert!(
-                events[0].fields.iter().all(|(k, _)| *k != "ns" && *k != "wall_ns"),
-                "wall time must never reach the trace"
-            );
-            let h = span_histogram("test_timed");
-            assert_eq!(h.count(), 1);
-            assert!(h.sum() >= 0.0);
-            assert_eq!(counter("spans_total").get(), 1);
-        });
-    }
-
-    #[test]
-    fn model_time_is_stamped_into_spans() {
-        with_telemetry(true, true, || {
-            set_model_time_hours(12.5);
-            {
-                let _s = span!("test_aged");
-            }
-            let events = take_trace();
-            let (_, t) = events[0].fields.iter().find(|(k, _)| *k == "t_hours").unwrap();
-            assert_eq!(t.as_f64(), Some(12.5));
-            assert_eq!(gauge("model_time_hours").get(), 12.5);
         });
     }
 

@@ -140,7 +140,7 @@ fn die(method: Method) -> HardwareModel {
 /// The seeded MC engine on a `threads`-wide pool with a fresh replica
 /// bank.
 fn seeded(hw: &mut HardwareModel, x: &Tensor, threads: usize) -> Predictive {
-    hw.predict_par_in(x, PREDICT_SEED, &ThreadPool::new(threads), &mut ReplicaBank::new())
+    hw.predict_seeded(x, PREDICT_SEED, &ThreadPool::new(threads), &mut ReplicaBank::new())
 }
 
 /// FNV-1a-64 over every op-counter field.

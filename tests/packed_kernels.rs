@@ -10,9 +10,9 @@
 //! agree exactly between policies too — kernel selection is a speed
 //! knob, never a semantics knob.
 
-use neuspin::bayes::{build_cnn, ArchConfig, Method};
+use neuspin::bayes::{build_cnn, ArchConfig, Method, Predictive};
 use neuspin::cim::{BistConfig, CrossbarConfig, KernelPolicy};
-use neuspin::core::{reliability_base, HardwareConfig, HardwareModel, ThreadPool};
+use neuspin::core::{reliability_base, HardwareConfig, HardwareModel, ReplicaBank, ThreadPool};
 use neuspin::device::DefectRates;
 use neuspin::nn::Tensor;
 use rand::rngs::StdRng;
@@ -52,6 +52,12 @@ fn noiseless_model() -> HardwareModel {
     hw
 }
 
+/// The seeded MC engine on a `threads`-wide pool with freshly cloned
+/// replicas.
+fn seeded(hw: &mut HardwareModel, x: &Tensor, seed: u64, threads: usize) -> Predictive {
+    hw.predict_seeded(x, seed, &ThreadPool::new(threads), &mut ReplicaBank::new())
+}
+
 /// A deterministic batch of binarized ±1 images (the SpinDrop input
 /// convention: sign-quantized pixels on the word lines).
 fn binary_inputs(n: usize, tag: usize) -> Tensor {
@@ -79,9 +85,9 @@ fn packed_scalar_and_reference_predictions_are_bit_identical() {
     let auto_before = auto.packed_call_count();
     let scalar_before = scalar.packed_call_count();
     let reference_before = reference.packed_call_count();
-    let pa = auto.predict_seeded(&x, 0xD15E);
-    let ps = scalar.predict_seeded(&x, 0xD15E);
-    let pr = reference.predict_seeded(&x, 0xD15E);
+    let pa = seeded(&mut auto, &x, 0xD15E, 1);
+    let ps = seeded(&mut scalar, &x, 0xD15E, 1);
+    let pr = seeded(&mut reference, &x, 0xD15E, 1);
     assert_eq!(pa, ps, "auto (packed) vs scalar predictions");
     assert_eq!(pa, pr, "auto (packed) vs reference predictions");
     assert_eq!(auto.counter(), scalar.counter(), "auto vs scalar op counters");
@@ -110,24 +116,36 @@ fn packed_scalar_and_reference_predictions_are_bit_identical() {
         reference_before,
         "reference policy must never route packed"
     );
+    // A 4-worker pool runs the same passes on replicas, whose packed
+    // calls resync into the die with its op counts.
+    let mut pooled = noiseless_model();
+    pooled.reset_counter();
+    let pooled_before = pooled.packed_call_count();
+    assert_eq!(seeded(&mut pooled, &x, 0xD15E, 4), pa, "4 workers vs sequential");
+    assert_eq!(pooled.counter(), auto.counter(), "4 workers vs sequential op counters");
+    assert_eq!(
+        pooled.packed_call_count() - pooled_before,
+        auto.packed_call_count() - auto_before,
+        "a 4-worker pool must report the packed calls its replicas served"
+    );
 }
 
 #[test]
 fn packed_predictions_are_thread_count_invariant() {
     let mut hw = noiseless_model();
     let x = binary_inputs(6, 1);
-    let sequential = hw.predict_seeded(&x, 0xD15E);
+    let sequential = seeded(&mut hw, &x, 0xD15E, 1);
     assert!(hw.packed_call_count() > 0, "sequential run must engage the packed kernel");
     for threads in [1usize, 2, 4] {
-        let pool = ThreadPool::new(threads);
-        let parallel = hw.predict_par(&x, 0xD15E, &pool);
+        let parallel = seeded(&mut hw, &x, 0xD15E, threads);
         assert_eq!(parallel, sequential, "{threads} threads vs sequential (packed)");
     }
     // NEUSPIN_THREADS drives the default pool through the same engine.
     std::env::set_var("NEUSPIN_THREADS", "3");
     let pool = ThreadPool::from_env();
     assert_eq!(pool.threads(), 3);
-    assert_eq!(hw.predict_par(&x, 0xD15E, &pool), sequential, "NEUSPIN_THREADS pool");
+    let pred = hw.predict_seeded(&x, 0xD15E, &pool, &mut ReplicaBank::new());
+    assert_eq!(pred, sequential, "NEUSPIN_THREADS pool");
     std::env::remove_var("NEUSPIN_THREADS");
 }
 
@@ -138,13 +156,13 @@ fn traced_packed_predictions_match_untraced_across_policies() {
     let _guard = neuspin::core::telemetry::test_lock();
     let x = binary_inputs(5, 2);
     let mut hw = noiseless_model();
-    let untraced = hw.predict_par(&x, 0xCAFE, &ThreadPool::new(2));
+    let untraced = seeded(&mut hw, &x, 0xCAFE, 2);
     for policy in [KernelPolicy::Auto, KernelPolicy::Scalar, KernelPolicy::Reference] {
         hw.set_kernel_policy(policy);
         for threads in [1usize, 2, 4] {
             neuspin::core::telemetry::set_enabled(true, true);
             neuspin::core::telemetry::reset();
-            let traced = hw.predict_par(&x, 0xCAFE, &ThreadPool::new(threads));
+            let traced = seeded(&mut hw, &x, 0xCAFE, threads);
             let events = neuspin::core::telemetry::take_trace();
             neuspin::core::telemetry::set_enabled(false, false);
             assert_eq!(traced, untraced, "{policy:?}, {threads} threads, traced vs untraced");

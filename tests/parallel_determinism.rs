@@ -1,18 +1,18 @@
 //! E2E acceptance for the deterministic parallel MC engine.
 //!
 //! The contract under test: for a fault-managed hardware model,
-//! [`HardwareModel::predict_par`] returns a `Predictive` that is
-//! **bit-identical** for any worker count and to the sequential
-//! [`HardwareModel::predict_seeded`] — and the merged op counters and
-//! sense-margin statistics match what the sequential path would have
-//! tallied. The same holds for the generic
+//! [`HardwareModel::predict_seeded`] returns a `Predictive` that is
+//! **bit-identical** for any worker count, the 1-wide (sequential) pool
+//! included — and the op counters and sense-margin statistics merged
+//! back from the pool's replicas match what the sequential path would
+//! have tallied. The same holds for the generic
 //! [`neuspin::core::mc_predict_par`] against
 //! [`neuspin::bayes::mc_predict_seeded`] on a bare crossbar classifier.
 
-use neuspin::bayes::{build_cnn, mc_predict_seeded, ArchConfig, Method};
+use neuspin::bayes::{build_cnn, mc_predict_seeded, ArchConfig, Method, Predictive};
 use neuspin::cim::{BistConfig, Crossbar, CrossbarConfig};
 use neuspin::core::{
-    mc_predict_par, reliability_base, HardwareConfig, HardwareModel, ThreadPool,
+    mc_predict_par, reliability_base, HardwareConfig, HardwareModel, ReplicaBank, ThreadPool,
 };
 use neuspin::device::DefectRates;
 use neuspin::nn::Tensor;
@@ -49,6 +49,12 @@ fn e2e_model() -> HardwareModel {
     hw
 }
 
+/// The seeded MC engine on a `threads`-wide pool with freshly cloned
+/// replicas.
+fn seeded(hw: &mut HardwareModel, x: &Tensor, seed: u64, threads: usize) -> Predictive {
+    hw.predict_seeded(x, seed, &ThreadPool::new(threads), &mut ReplicaBank::new())
+}
+
 /// A deterministic batch of synthetic images.
 fn inputs(n: usize, tag: usize) -> Tensor {
     Tensor::from_fn(&[n, 1, 16, 16], |i| (((i * 31 + tag * 7) % 17) as f32) / 8.0 - 1.0)
@@ -58,17 +64,17 @@ fn inputs(n: usize, tag: usize) -> Tensor {
 fn predict_par_is_thread_count_invariant_on_the_e2e_model() {
     let mut hw = e2e_model();
     let x = inputs(6, 0);
-    let sequential = hw.predict_seeded(&x, 0xD15E);
+    let sequential = seeded(&mut hw, &x, 0xD15E, 1);
     for threads in [1usize, 2, 4] {
-        let pool = ThreadPool::new(threads);
-        let parallel = hw.predict_par(&x, 0xD15E, &pool);
+        let parallel = seeded(&mut hw, &x, 0xD15E, threads);
         assert_eq!(parallel, sequential, "{threads} threads vs sequential");
     }
     // NEUSPIN_THREADS drives the default pool through the same engine.
     std::env::set_var("NEUSPIN_THREADS", "3");
     let pool = ThreadPool::from_env();
     assert_eq!(pool.threads(), 3);
-    assert_eq!(hw.predict_par(&x, 0xD15E, &pool), sequential, "NEUSPIN_THREADS pool");
+    let pred = hw.predict_seeded(&x, 0xD15E, &pool, &mut ReplicaBank::new());
+    assert_eq!(pred, sequential, "NEUSPIN_THREADS pool");
     std::env::remove_var("NEUSPIN_THREADS");
 }
 
@@ -84,8 +90,8 @@ fn predict_par_merges_counters_and_margins_like_the_sequential_path() {
     par.reset_counter();
     seq.reset_sense_margins();
     par.reset_sense_margins();
-    let a = seq.predict_seeded(&x, 0xC0DE);
-    let b = par.predict_par(&x, 0xC0DE, &ThreadPool::new(3));
+    let a = seeded(&mut seq, &x, 0xC0DE, 1);
+    let b = seeded(&mut par, &x, 0xC0DE, 3);
     assert_eq!(a, b);
     assert_eq!(seq.counter(), par.counter(), "merged op counters diverged");
     // Margin sums are FP accumulators: the parallel path folds one
@@ -129,12 +135,16 @@ fn generic_engine_matches_seeded_sequential_on_a_crossbar_classifier() {
 
     let mut seq_xbar = xbar.clone();
     let reference = mc_predict_seeded(8, 99, |_, rng| forward(&mut seq_xbar, rng));
+    let programmed_reads = xbar.counter().cell_reads;
     for threads in [1usize, 2, 4, 8] {
         let pool = ThreadPool::new(threads);
-        let (pred, workers) =
-            mc_predict_par(&pool, 8, 99, |_| xbar.clone(), |xb, _, rng| forward(xb, rng));
+        let mut workers = vec![xbar.clone(); threads];
+        let pred = mc_predict_par(&pool, 8, 99, &mut workers, |xb, _, rng| forward(xb, rng));
         assert_eq!(pred, reference, "{threads} threads");
-        assert!(!workers.is_empty());
+        assert!(
+            workers.iter().all(|xb| xb.counter().cell_reads > programmed_reads),
+            "{threads} threads: every worker state must have run passes"
+        );
     }
 }
 
@@ -147,13 +157,13 @@ fn traced_predict_par_is_byte_identical_across_worker_counts() {
     let _guard = neuspin::core::telemetry::test_lock();
     let mut hw = e2e_model();
     let x = inputs(6, 0);
-    let untraced = hw.predict_par(&x, 0xD15E, &ThreadPool::new(2));
+    let untraced = seeded(&mut hw, &x, 0xD15E, 2);
 
     let mut traces: Vec<String> = Vec::new();
     for threads in [1usize, 2, 4] {
         neuspin::core::telemetry::set_enabled(true, true);
         neuspin::core::telemetry::reset();
-        let pred = hw.predict_par(&x, 0xD15E, &ThreadPool::new(threads));
+        let pred = seeded(&mut hw, &x, 0xD15E, threads);
         let events = neuspin::core::telemetry::take_trace();
         neuspin::core::telemetry::set_enabled(false, false);
         assert_eq!(pred, untraced, "{threads} threads, traced vs untraced");
