@@ -258,13 +258,26 @@ mod tests {
                 t * t
             });
             assert_eq!(results, (0..10).map(|t| t * t).collect::<Vec<_>>());
+            let busy = states.iter().filter(|&&s| s > 0).count();
+            assert_eq!(busy, threads.min(10), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn run_chunked_on_uses_caller_states_and_preserves_order() {
+        for threads in [1usize, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            let mut states = vec![0usize; threads];
+            let results = pool.run_chunked(10, &mut states, |s, t| {
+                *s += 1;
+                t * t
+            });
+            assert_eq!(results, (0..10).map(|t| t * t).collect::<Vec<_>>());
             assert_eq!(
                 states.iter().sum::<usize>(),
                 10,
                 "{threads} threads: every job must run on a caller-owned state"
             );
-            let busy = states.iter().filter(|&&s| s > 0).count();
-            assert_eq!(busy, threads.min(10), "{threads} threads");
         }
     }
 
@@ -302,11 +315,35 @@ mod tests {
             })
         };
         let reference = neuspin_bayes::mc_predict_seeded(9, 77, forward);
-        for threads in [1usize, 2, 3, 4, 8, 9, 16] {
+        for threads in [1usize, 2, 4, 9, 16] {
             let pool = ThreadPool::new(threads);
             let mut states = vec![(); threads];
             let pred = mc_predict_par(&pool, 9, 77, &mut states, |_, t, rng| forward(t, rng));
             assert_eq!(pred, reference, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn mc_predict_par_on_matches_init_based_engine() {
+        // Caller-owned worker states that carry their own mutable state
+        // (here a pass counter) must not leak into the prediction: the
+        // result equals the seeded sequential engine, and every pass runs
+        // on exactly one of the caller's states.
+        let forward = |t: usize, rng: &mut StdRng| {
+            Tensor::from_fn(&[2, 3], |i| {
+                (t as f32 * 0.1) + neuspin_device::stats::standard_normal(rng) as f32 + i as f32
+            })
+        };
+        let reference = neuspin_bayes::mc_predict_seeded(9, 77, forward);
+        for threads in [1usize, 3, 8] {
+            let pool = ThreadPool::new(threads);
+            let mut states = vec![0usize; threads];
+            let pred = mc_predict_par(&pool, 9, 77, &mut states, |s, t, rng| {
+                *s += 1;
+                forward(t, rng)
+            });
+            assert_eq!(pred, reference, "{threads} threads");
+            assert_eq!(states.iter().sum::<usize>(), 9, "{threads} threads");
         }
     }
 
