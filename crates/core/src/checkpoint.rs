@@ -968,6 +968,158 @@ mod tests {
         );
     }
 
+    const LOCK_SEED: u64 = 0xC0DE_C4EC;
+
+    /// `(fnv1a, length)` of the lock die's checkpoint per method,
+    /// captured before the encoder was rewritten as a streaming writer.
+    const LOCK_GOLDEN: [(Method, u64, usize); 7] = [
+        (Method::Deterministic, 0x8990434e0bae34d4, 90074),
+        (Method::SpinDrop, 0x8de0cb3e151a05ed, 110007),
+        (Method::SpatialSpinDrop, 0xb1d12557ae27c43d, 92245),
+        (Method::SpinScaleDrop, 0x6f4a982db9b565f4, 90931),
+        (Method::AffineDropout, 0x60a7ec903355a65c, 88802),
+        (Method::SubsetVi, 0x8ebd5c77b2c6024d, 90642),
+        (Method::SpinBayes, 0x40ff7848767c59e4, 87298),
+    ];
+
+    /// The lock die for `method` on a one-worker pool: a small CNN with
+    /// fabrication defects, two spare columns per crossbar, fault
+    /// management (spare repair, then fault-aware remap) and aging,
+    /// commissioned, served, and stepped past a scheduled scrub.
+    fn lock_die(method: Method) -> Supervisor {
+        let arch = ArchConfig {
+            c1: 2,
+            c2: 4,
+            hidden: 16,
+            classes: 4,
+            side: 8,
+            ..ArchConfig::default()
+        };
+        let mut rng = StdRng::seed_from_u64(LOCK_SEED);
+        let sw_method = if method == Method::SpinBayes {
+            Method::Deterministic
+        } else {
+            method
+        };
+        let mut sw = build_cnn(sw_method, &arch, &mut rng);
+        let config = HardwareConfig {
+            crossbar: CrossbarConfig {
+                defect_rates: DefectRates::uniform(0.01),
+                ..CrossbarConfig::ideal()
+            },
+            passes: 2,
+            spare_cols: 2,
+            ..HardwareConfig::default()
+        };
+        let mut hw = HardwareModel::compile(&mut sw, method, &arch, &config, &mut rng);
+        hw.fault_management(&BistConfig::default(), &mut rng);
+        hw.enable_aging(&AgingConfig {
+            seed: LOCK_SEED ^ 0xA9,
+            ..AgingConfig::default()
+        });
+        let mut sup = Supervisor::new(
+            hw,
+            SupervisorConfig {
+                seed: LOCK_SEED,
+                scrub_interval_hours: 60.0,
+                ..SupervisorConfig::default()
+            },
+        );
+        sup.set_threads(1);
+        sup.commission(small_inputs(8, LOCK_SEED), &small_inputs(4, LOCK_SEED + 1));
+        let probe = small_inputs(3, LOCK_SEED ^ 0x77);
+        sup.serve_predict(&probe, LOCK_SEED ^ 0x51);
+        sup.step(&probe, 40.0);
+        sup.step(&probe, 40.0);
+        sup
+    }
+
+    /// Byte lock on the encoder for every method's block mix: the
+    /// checkpoint hashes to its captured value, is exactly the canonical
+    /// compact form of its own parse, and decode → encode reproduces it.
+    #[test]
+    fn checkpoint_bytes_are_locked_for_every_method() {
+        let mut kinds = std::collections::BTreeSet::new();
+        for &(method, hash, len) in &LOCK_GOLDEN {
+            let cp = lock_die(method).checkpoint();
+            let root = parse(&cp).unwrap_or_else(|e| panic!("{method:?}: {e}"));
+            assert_eq!(
+                root.to_string(),
+                cp,
+                "{method:?}: not the canonical compact form"
+            );
+            let decoded = Checkpoint::decode(&cp).unwrap_or_else(|e| panic!("{method:?}: {e}"));
+            assert_eq!(
+                Checkpoint::encode_state(&decoded.state),
+                cp,
+                "{method:?}: decode → re-encode is not byte-stable"
+            );
+
+            // The die must reach every part of the crossbar encoder.
+            let xbars: Vec<&CrossbarState> = decoded
+                .state
+                .model
+                .blocks
+                .iter()
+                .filter_map(|b| match b {
+                    BlockState::Conv { xbar, .. } | BlockState::Fc { xbar, .. } => Some(xbar),
+                    _ => None,
+                })
+                .collect();
+            assert!(!xbars.is_empty(), "{method:?}: no binary crossbar");
+            assert!(
+                xbars.iter().all(|x| !x.spares.is_empty()),
+                "{method:?}: no spares"
+            );
+            assert!(
+                xbars.iter().all(|x| x.aging.is_some()),
+                "{method:?}: aging off"
+            );
+            assert!(
+                xbars.iter().any(|x| !x.defects.is_empty()),
+                "{method:?}: no defects"
+            );
+            assert!(
+                xbars.iter().any(|x| x.col_src.is_some()),
+                "{method:?}: no column remap"
+            );
+            let blocks = root
+                .get("payload")
+                .and_then(|p| p.get("model"))
+                .and_then(|m| m.get("blocks"));
+            for block in blocks.and_then(Json::as_arr).expect("payload.model.blocks") {
+                kinds.insert(
+                    block
+                        .get("kind")
+                        .and_then(Json::as_str)
+                        .expect("kind")
+                        .to_string(),
+                );
+            }
+
+            assert_eq!(
+                (fnv1a(cp.as_bytes()), cp.len()),
+                (hash, len),
+                "{method:?}: bytes moved"
+            );
+        }
+        let all = [
+            "conv",
+            "fc",
+            "fc_spinbayes",
+            "digital_fc",
+            "norm",
+            "inv_norm",
+            "drop_per_neuron",
+            "drop_per_channel",
+            "drop_scale",
+            "drop_vi_scale",
+            "stateless",
+        ];
+        let missing: Vec<_> = all.iter().filter(|k| !kinds.contains(**k)).collect();
+        assert!(missing.is_empty(), "block kinds never encoded: {missing:?}");
+    }
+
     /// Re-serializes a parsed checkpoint after mutating its top-level
     /// header pairs.
     fn tamper(encoded: &str, f: impl FnOnce(&mut Vec<(String, Json)>)) -> String {
