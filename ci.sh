@@ -40,6 +40,11 @@ cargo test --offline -q --manifest-path nsbench/Cargo.toml
 echo "==> nsbench mc_batch smoke"
 cargo run -q --release --offline --manifest-path nsbench/Cargo.toml -- \
     --workload mc_batch --seed 1 --seconds 2 --trace 0
+# lifetime_mixed is the one workload that checkpoints inside its timed
+# loop; its replay-digest oracle exits non-zero on any divergence.
+echo "==> nsbench lifetime_mixed smoke"
+cargo run -q --release --offline --manifest-path nsbench/Cargo.toml -- \
+    --workload lifetime_mixed --seed 1 --seconds 2 --trace 0
 
 # Fault-management campaign smoke: a tiny grid end to end, then re-parse
 # the emitted JSON and fail on schema drift or any non-finite value.

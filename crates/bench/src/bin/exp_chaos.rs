@@ -73,8 +73,9 @@ const DEFAULT_P99_MS: f64 = 500.0;
 
 /// Report keys that legitimately differ run to run (wall-clock and
 /// host facts — `checkpoint_bytes` tracks the host thread-pool width
-/// through the per-stream RNG section, though the restored *outputs*
-/// stay bit-identical). Everything else must be byte-stable across
+/// through the crossbars' op tallies, which replica passes leave to the
+/// model-wide counter, though the restored *outputs* stay
+/// bit-identical). Everything else must be byte-stable across
 /// thread counts, and CI compares it.
 const NONDETERMINISTIC_KEYS: [&str; 6] =
     ["host_threads", "duration_s", "p50_ms", "p95_ms", "p99_ms", "checkpoint_bytes"];

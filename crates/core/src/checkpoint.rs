@@ -43,7 +43,7 @@
 
 use crate::blocks::BlockState;
 use crate::health::MonitorState;
-use crate::json::{parse, Json};
+use crate::json::{parse, Json, Writer};
 use crate::model::ModelState;
 use crate::runtime::{RecoveryAction, RecoveryEvent};
 use crate::HealthPolicy;
@@ -60,6 +60,8 @@ use std::fmt;
 pub const FORMAT: &str = "neuspin-checkpoint";
 /// The current checkpoint format version.
 pub const VERSION: u64 = 1;
+/// Holds the checksum's 16 hex digits until the payload is written.
+const CHECKSUM_PLACEHOLDER: &str = "0000000000000000";
 
 /// FNV-1a 64-bit hash — the checkpoint content checksum.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -168,40 +170,44 @@ impl Checkpoint {
     /// header. Byte-deterministic: the same state always produces the
     /// same string.
     pub(crate) fn encode_state(state: &SupervisorState) -> String {
-        let payload = encode_supervisor(state);
-        let checksum = format!("{:016x}", fnv1a(payload.to_string().as_bytes()));
-        Json::obj([
-            ("format", Json::Str(FORMAT.to_string())),
-            ("version", Json::Num(VERSION as f64)),
-            ("checksum", Json::Str(checksum)),
-            ("payload", payload),
-        ])
-        .to_string()
+        let mut out = String::new();
+        Checkpoint::encode_into(state, &mut out);
+        out
+    }
+
+    /// [`Checkpoint::encode_state`] into `out`, which is cleared first
+    /// and keeps its capacity. One pass: the header goes out with a
+    /// placeholder checksum, the payload streams after it, and the
+    /// placeholder is then patched with the FNV-1a of the payload bytes.
+    pub(crate) fn encode_into(state: &SupervisorState, out: &mut String) {
+        out.clear();
+        let mut w = Writer::new(out);
+        w.open_obj();
+        w.key("format").str(FORMAT);
+        w.key("version").num(VERSION as f64);
+        // The checksum digits start one byte past the string's opening quote.
+        let checksum_at = w.key("checksum").offset() + 1;
+        w.str(CHECKSUM_PLACEHOLDER);
+        let payload_start = w.key("payload").offset();
+        encode_supervisor(&mut w, state);
+        let payload_end = w.offset();
+        w.close_obj();
+        let checksum = format!("{:016x}", fnv1a(&out.as_bytes()[payload_start..payload_end]));
+        out.replace_range(checksum_at..checksum_at + checksum.len(), &checksum);
     }
 }
 
 // ---------------------------------------------------------------------
 // Scalar helpers. u64 rides hex strings (JSON numbers are f64 — exact
 // only to 2⁵³); f64/f32 ride the writer's shortest-round-trip Display.
+// Encoders stream into a `Writer`; decoders read the parsed tree.
 
-fn ju(x: u64) -> Json {
-    Json::Str(format!("{x:x}"))
+fn write_pair(w: &mut Writer<'_>, p: (f64, f64)) {
+    w.arr([p.0, p.1], Writer::num);
 }
 
-fn jpair(p: (f64, f64)) -> Json {
-    Json::Arr(vec![Json::Num(p.0), Json::Num(p.1)])
-}
-
-fn jf64s(xs: &[f64]) -> Json {
-    Json::Arr(xs.iter().map(|&x| Json::Num(x)).collect())
-}
-
-fn jf32s(xs: &[f32]) -> Json {
-    Json::Arr(xs.iter().map(|&x| Json::Num(f64::from(x))).collect())
-}
-
-fn jbools(xs: &[bool]) -> Json {
-    Json::Arr(xs.iter().map(|&x| Json::Bool(x)).collect())
+fn write_f32s(w: &mut Writer<'_>, xs: &[f32]) {
+    w.arr(xs.iter().map(|&x| f64::from(x)), Writer::num);
 }
 
 fn field<'a>(v: &'a Json, key: &str) -> R<&'a Json> {
@@ -268,17 +274,17 @@ fn pair_field(v: &Json, key: &str) -> R<(f64, f64)> {
 // ---------------------------------------------------------------------
 // Per-type codecs, leaves first.
 
-fn encode_counter(c: &OpCounter) -> Json {
-    Json::obj([
-        ("cell_reads", ju(c.cell_reads)),
-        ("cell_writes", ju(c.cell_writes)),
-        ("sa_evals", ju(c.sa_evals)),
-        ("adc_converts", ju(c.adc_converts)),
-        ("adc_saturations", ju(c.adc_saturations)),
-        ("rng_bits", ju(c.rng_bits)),
-        ("sram_accesses", ju(c.sram_accesses)),
-        ("digital_ops", ju(c.digital_ops)),
-    ])
+fn encode_counter(w: &mut Writer<'_>, c: &OpCounter) {
+    w.open_obj();
+    w.key("cell_reads").hex(c.cell_reads);
+    w.key("cell_writes").hex(c.cell_writes);
+    w.key("sa_evals").hex(c.sa_evals);
+    w.key("adc_converts").hex(c.adc_converts);
+    w.key("adc_saturations").hex(c.adc_saturations);
+    w.key("rng_bits").hex(c.rng_bits);
+    w.key("sram_accesses").hex(c.sram_accesses);
+    w.key("digital_ops").hex(c.digital_ops);
+    w.close_obj();
 }
 
 fn decode_counter(v: &Json) -> R<OpCounter> {
@@ -294,12 +300,12 @@ fn decode_counter(v: &Json) -> R<OpCounter> {
     })
 }
 
-fn encode_rng(s: &SpinRngState) -> Json {
-    Json::obj([
-        ("bias_current", Json::Num(s.bias_current)),
-        ("target_p", Json::Num(s.target_p)),
-        ("bits_generated", ju(s.bits_generated)),
-    ])
+fn encode_rng(w: &mut Writer<'_>, s: &SpinRngState) {
+    w.open_obj();
+    w.key("bias_current").num(s.bias_current);
+    w.key("target_p").num(s.target_p);
+    w.key("bits_generated").hex(s.bits_generated);
+    w.close_obj();
 }
 
 fn decode_rng(v: &Json) -> R<SpinRngState> {
@@ -310,18 +316,14 @@ fn decode_rng(v: &Json) -> R<SpinRngState> {
     })
 }
 
-fn encode_rngs(states: &[SpinRngState]) -> Json {
-    Json::Arr(states.iter().map(encode_rng).collect())
-}
-
 fn decode_rngs(v: &Json, key: &str) -> R<Vec<SpinRngState>> {
     arr_field(v, key)?.iter().map(decode_rng).collect()
 }
 
-fn encode_defect(kind: Option<DefectKind>) -> Json {
+fn encode_defect(w: &mut Writer<'_>, kind: Option<DefectKind>) {
     match kind {
-        None => Json::Null,
-        Some(k) => Json::Num(k.index() as f64),
+        None => w.null(),
+        Some(k) => w.num(k.index() as f64),
     }
 }
 
@@ -340,15 +342,15 @@ fn decode_defect(v: &Json, ctx: &str) -> R<Option<DefectKind>> {
     }
 }
 
-fn encode_cell(c: &XnorCellState) -> Json {
-    Json::obj([
-        ("plus_levels", jpair(c.plus_levels)),
-        ("minus_levels", jpair(c.minus_levels)),
-        ("sign", Json::Bool(c.sign)),
-        ("plus_defect", encode_defect(c.plus_defect)),
-        ("minus_defect", encode_defect(c.minus_defect)),
-        ("reference", jpair(c.reference)),
-    ])
+fn encode_cell(w: &mut Writer<'_>, c: &XnorCellState) {
+    w.open_obj();
+    write_pair(w.key("plus_levels"), c.plus_levels);
+    write_pair(w.key("minus_levels"), c.minus_levels);
+    w.key("sign").bool(c.sign);
+    encode_defect(w.key("plus_defect"), c.plus_defect);
+    encode_defect(w.key("minus_defect"), c.minus_defect);
+    write_pair(w.key("reference"), c.reference);
+    w.close_obj();
 }
 
 fn decode_cell(v: &Json) -> R<XnorCellState> {
@@ -362,23 +364,19 @@ fn decode_cell(v: &Json) -> R<XnorCellState> {
     })
 }
 
-fn encode_cells(cells: &[XnorCellState]) -> Json {
-    Json::Arr(cells.iter().map(encode_cell).collect())
-}
-
 fn decode_cells(v: &Json, key: &str) -> R<Vec<XnorCellState>> {
     arr_field(v, key)?.iter().map(decode_cell).collect()
 }
 
-fn encode_aging_snapshot(s: &AgingSnapshot) -> Json {
-    Json::obj([
-        ("now_hours", Json::Num(s.now_hours)),
-        ("epoch", ju(s.epoch)),
-        ("cum_writes", Json::Num(s.cum_writes)),
-        ("lifetimes", jf64s(&s.lifetimes)),
-        ("drift", jf64s(&s.drift)),
-        ("worn", jbools(&s.worn)),
-    ])
+fn encode_aging_snapshot(w: &mut Writer<'_>, s: &AgingSnapshot) {
+    w.open_obj();
+    w.key("now_hours").num(s.now_hours);
+    w.key("epoch").hex(s.epoch);
+    w.key("cum_writes").num(s.cum_writes);
+    w.key("lifetimes").arr(s.lifetimes.iter().copied(), Writer::num);
+    w.key("drift").arr(s.drift.iter().copied(), Writer::num);
+    w.key("worn").arr(s.worn.iter().copied(), Writer::bool);
+    w.close_obj();
 }
 
 fn decode_aging_snapshot(v: &Json) -> R<AgingSnapshot> {
@@ -392,13 +390,13 @@ fn decode_aging_snapshot(v: &Json) -> R<AgingSnapshot> {
     })
 }
 
-fn encode_aging_hook(h: &AgingHookState) -> Json {
-    Json::obj([
-        ("aging", encode_aging_snapshot(&h.aging)),
-        ("golden", jf32s(&h.golden)),
-        ("seen_reads", ju(h.seen_reads)),
-        ("seen_writes", ju(h.seen_writes)),
-    ])
+fn encode_aging_hook(w: &mut Writer<'_>, h: &AgingHookState) {
+    w.open_obj();
+    encode_aging_snapshot(w.key("aging"), &h.aging);
+    write_f32s(w.key("golden"), &h.golden);
+    w.key("seen_reads").hex(h.seen_reads);
+    w.key("seen_writes").hex(h.seen_writes);
+    w.close_obj();
 }
 
 fn decode_aging_hook(v: &Json) -> R<AgingHookState> {
@@ -410,18 +408,21 @@ fn decode_aging_hook(v: &Json) -> R<AgingHookState> {
     })
 }
 
-fn encode_spare(s: &SpareColumnState) -> Json {
-    Json::obj([("cells", encode_cells(&s.cells)), ("used", Json::Bool(s.used))])
+fn encode_spare(w: &mut Writer<'_>, s: &SpareColumnState) {
+    w.open_obj();
+    w.key("cells").arr(&s.cells, encode_cell);
+    w.key("used").bool(s.used);
+    w.close_obj();
 }
 
 fn decode_spare(v: &Json) -> R<SpareColumnState> {
     Ok(SpareColumnState { cells: decode_cells(v, "cells")?, used: bool_field(v, "used")? })
 }
 
-fn encode_remap(map: &Option<Vec<usize>>) -> Json {
+fn encode_remap(w: &mut Writer<'_>, map: &Option<Vec<usize>>) {
     match map {
-        None => Json::Null,
-        Some(m) => Json::Arr(m.iter().map(|&i| Json::Num(i as f64)).collect()),
+        None => w.null(),
+        Some(m) => w.arr(m.iter().map(|&i| i as f64), Writer::num),
     }
 }
 
@@ -441,35 +442,26 @@ fn decode_remap(v: &Json, ctx: &str) -> R<Option<Vec<usize>>> {
     }
 }
 
-fn encode_crossbar(s: &CrossbarState) -> Json {
-    Json::obj([
-        ("cells", encode_cells(&s.cells)),
-        ("eff", jf64s(&s.eff)),
-        ("row_enabled", jbools(&s.row_enabled)),
-        ("counter", encode_counter(&s.counter)),
-        (
-            "defects",
-            Json::Arr(
-                s.defects
-                    .iter()
-                    .map(|&(r, c, k)| {
-                        Json::Arr(vec![
-                            Json::Num(r as f64),
-                            Json::Num(c as f64),
-                            Json::Num(k.index() as f64),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("spares", Json::Arr(s.spares.iter().map(encode_spare).collect())),
-        ("row_src", encode_remap(&s.row_src)),
-        ("col_src", encode_remap(&s.col_src)),
-        ("margin_sum", Json::Num(s.margin_sum)),
-        ("margin_count", ju(s.margin_count)),
-        ("packed_calls", ju(s.packed_calls)),
-        ("aging", s.aging.as_ref().map_or(Json::Null, encode_aging_hook)),
-    ])
+fn encode_crossbar(w: &mut Writer<'_>, s: &CrossbarState) {
+    w.open_obj();
+    w.key("cells").arr(&s.cells, encode_cell);
+    w.key("eff").arr(s.eff.iter().copied(), Writer::num);
+    w.key("row_enabled").arr(s.row_enabled.iter().copied(), Writer::bool);
+    encode_counter(w.key("counter"), &s.counter);
+    w.key("defects").arr(&s.defects, |w, &(r, c, k)| {
+        w.arr([r as f64, c as f64, k.index() as f64], Writer::num);
+    });
+    w.key("spares").arr(&s.spares, encode_spare);
+    encode_remap(w.key("row_src"), &s.row_src);
+    encode_remap(w.key("col_src"), &s.col_src);
+    w.key("margin_sum").num(s.margin_sum);
+    w.key("margin_count").hex(s.margin_count);
+    w.key("packed_calls").hex(s.packed_calls);
+    match &s.aging {
+        None => w.key("aging").null(),
+        Some(hook) => encode_aging_hook(w.key("aging"), hook),
+    }
+    w.close_obj();
 }
 
 fn decode_crossbar(v: &Json) -> R<CrossbarState> {
@@ -505,14 +497,14 @@ fn decode_crossbar(v: &Json) -> R<CrossbarState> {
     })
 }
 
-fn encode_mlc(s: &MlcCrossbarState) -> Json {
-    Json::obj([
-        ("eff", jf64s(&s.eff)),
-        ("row_enabled", jbools(&s.row_enabled)),
-        ("counter", encode_counter(&s.counter)),
-        ("margin_sum", Json::Num(s.margin_sum)),
-        ("margin_count", ju(s.margin_count)),
-    ])
+fn encode_mlc(w: &mut Writer<'_>, s: &MlcCrossbarState) {
+    w.open_obj();
+    w.key("eff").arr(s.eff.iter().copied(), Writer::num);
+    w.key("row_enabled").arr(s.row_enabled.iter().copied(), Writer::bool);
+    encode_counter(w.key("counter"), &s.counter);
+    w.key("margin_sum").num(s.margin_sum);
+    w.key("margin_count").hex(s.margin_count);
+    w.close_obj();
 }
 
 fn decode_mlc(v: &Json) -> R<MlcCrossbarState> {
@@ -525,8 +517,11 @@ fn decode_mlc(v: &Json) -> R<MlcCrossbarState> {
     })
 }
 
-fn encode_arbiter(s: &ArbiterState) -> Json {
-    Json::obj([("bit_sources", encode_rngs(&s.bit_sources)), ("bits_used", ju(s.bits_used))])
+fn encode_arbiter(w: &mut Writer<'_>, s: &ArbiterState) {
+    w.open_obj();
+    w.key("bit_sources").arr(&s.bit_sources, encode_rng);
+    w.key("bits_used").hex(s.bits_used);
+    w.close_obj();
 }
 
 fn decode_arbiter(v: &Json) -> R<ArbiterState> {
@@ -536,59 +531,66 @@ fn decode_arbiter(v: &Json) -> R<ArbiterState> {
     })
 }
 
-fn encode_block(state: &BlockState) -> Json {
-    let tag = |kind: &str| ("kind", Json::Str(kind.to_string()));
+fn encode_block(w: &mut Writer<'_>, state: &BlockState) {
+    w.open_obj();
     match state {
         BlockState::Conv { xbar, local } => {
-            Json::obj([tag("conv"), ("xbar", encode_crossbar(xbar)), ("local", encode_counter(local))])
+            w.key("kind").str("conv");
+            encode_crossbar(w.key("xbar"), xbar);
+            encode_counter(w.key("local"), local);
         }
         BlockState::Fc { xbar, local } => {
-            Json::obj([tag("fc"), ("xbar", encode_crossbar(xbar)), ("local", encode_counter(local))])
+            w.key("kind").str("fc");
+            encode_crossbar(w.key("xbar"), xbar);
+            encode_counter(w.key("local"), local);
         }
-        BlockState::FcSpinBayes { xbars, arbiter, local } => Json::obj([
-            tag("fc_spinbayes"),
-            ("xbars", Json::Arr(xbars.iter().map(encode_mlc).collect())),
-            ("arbiter", encode_arbiter(arbiter)),
-            ("local", encode_counter(local)),
-        ]),
+        BlockState::FcSpinBayes { xbars, arbiter, local } => {
+            w.key("kind").str("fc_spinbayes");
+            w.key("xbars").arr(xbars, encode_mlc);
+            encode_arbiter(w.key("arbiter"), arbiter);
+            encode_counter(w.key("local"), local);
+        }
         BlockState::DigitalFc { local } => {
-            Json::obj([tag("digital_fc"), ("local", encode_counter(local))])
+            w.key("kind").str("digital_fc");
+            encode_counter(w.key("local"), local);
         }
-        BlockState::Norm { mean, var, stats, local } => Json::obj([
-            tag("norm"),
-            ("mean", jf32s(mean)),
-            ("var", jf32s(var)),
-            ("stats_count", ju(stats.count)),
-            ("stats_mean", jf64s(&stats.mean)),
-            ("stats_m2", jf64s(&stats.m2)),
-            ("local", encode_counter(local)),
-        ]),
-        BlockState::InvNorm { modules, local } => Json::obj([
-            tag("inv_norm"),
-            (
-                "modules",
-                modules.as_ref().map_or(Json::Null, |(g, b)| {
-                    Json::Arr(vec![encode_rng(g), encode_rng(b)])
-                }),
-            ),
-            ("local", encode_counter(local)),
-        ]),
+        BlockState::Norm { mean, var, stats, local } => {
+            w.key("kind").str("norm");
+            write_f32s(w.key("mean"), mean);
+            write_f32s(w.key("var"), var);
+            w.key("stats_count").hex(stats.count);
+            w.key("stats_mean").arr(stats.mean.iter().copied(), Writer::num);
+            w.key("stats_m2").arr(stats.m2.iter().copied(), Writer::num);
+            encode_counter(w.key("local"), local);
+        }
+        BlockState::InvNorm { modules, local } => {
+            w.key("kind").str("inv_norm");
+            match modules {
+                None => w.key("modules").null(),
+                Some((g, b)) => w.key("modules").arr([g, b], encode_rng),
+            }
+            encode_counter(w.key("local"), local);
+        }
         BlockState::DropPerNeuron { modules } => {
-            Json::obj([tag("drop_per_neuron"), ("modules", encode_rngs(modules))])
+            w.key("kind").str("drop_per_neuron");
+            w.key("modules").arr(modules, encode_rng);
         }
         BlockState::DropPerChannel { modules } => {
-            Json::obj([tag("drop_per_channel"), ("modules", encode_rngs(modules))])
+            w.key("kind").str("drop_per_channel");
+            w.key("modules").arr(modules, encode_rng);
         }
-        BlockState::DropScale { module, local } => Json::obj([
-            tag("drop_scale"),
-            ("module", encode_rng(module)),
-            ("local", encode_counter(local)),
-        ]),
+        BlockState::DropScale { module, local } => {
+            w.key("kind").str("drop_scale");
+            encode_rng(w.key("module"), module);
+            encode_counter(w.key("local"), local);
+        }
         BlockState::DropViScale { local } => {
-            Json::obj([tag("drop_vi_scale"), ("local", encode_counter(local))])
+            w.key("kind").str("drop_vi_scale");
+            encode_counter(w.key("local"), local);
         }
-        BlockState::Stateless => Json::obj([tag("stateless")]),
+        BlockState::Stateless => w.key("kind").str("stateless"),
     }
+    w.close_obj();
 }
 
 fn decode_block(v: &Json) -> R<BlockState> {
@@ -644,12 +646,12 @@ fn decode_block(v: &Json) -> R<BlockState> {
     })
 }
 
-fn encode_model(state: &ModelState) -> Json {
-    Json::obj([
-        ("blocks", Json::Arr(state.blocks.iter().map(encode_block).collect())),
-        ("baseline", encode_counter(&state.baseline)),
-        ("extra", encode_counter(&state.extra)),
-    ])
+fn encode_model(w: &mut Writer<'_>, state: &ModelState) {
+    w.open_obj();
+    w.key("blocks").arr(&state.blocks, encode_block);
+    encode_counter(w.key("baseline"), &state.baseline);
+    encode_counter(w.key("extra"), &state.extra);
+    w.close_obj();
 }
 
 fn decode_model(v: &Json) -> R<ModelState> {
@@ -660,8 +662,8 @@ fn decode_model(v: &Json) -> R<ModelState> {
     })
 }
 
-fn encode_policy(p: HealthPolicy) -> Json {
-    Json::Num(f64::from(p.tier_index()))
+fn encode_policy(w: &mut Writer<'_>, p: HealthPolicy) {
+    w.num(f64::from(p.tier_index()));
 }
 
 fn decode_policy(v: &Json, ctx: &str) -> R<HealthPolicy> {
@@ -669,15 +671,18 @@ fn decode_policy(v: &Json, ctx: &str) -> R<HealthPolicy> {
     Ok(HealthPolicy::from_tier_index(tier))
 }
 
-fn encode_monitor(state: &MonitorState) -> Json {
-    Json::obj([
-        ("abstain_entropy", Json::Num(state.abstain_entropy)),
-        ("window", Json::Arr(state.window.iter().map(|&p| jpair(p)).collect())),
-        ("baseline", state.baseline.map_or(Json::Null, jpair)),
-        ("latched", encode_policy(state.latched)),
-        ("pending", encode_policy(state.pending)),
-        ("pending_count", Json::Num(state.pending_count as f64)),
-    ])
+fn encode_monitor(w: &mut Writer<'_>, state: &MonitorState) {
+    w.open_obj();
+    w.key("abstain_entropy").num(state.abstain_entropy);
+    w.key("window").arr(state.window.iter().copied(), write_pair);
+    match state.baseline {
+        None => w.key("baseline").null(),
+        Some(p) => write_pair(w.key("baseline"), p),
+    }
+    encode_policy(w.key("latched"), state.latched);
+    encode_policy(w.key("pending"), state.pending);
+    w.key("pending_count").num(state.pending_count as f64);
+    w.close_obj();
 }
 
 fn decode_monitor(v: &Json) -> R<MonitorState> {
@@ -699,8 +704,8 @@ fn decode_monitor(v: &Json) -> R<MonitorState> {
     })
 }
 
-fn encode_action(a: RecoveryAction) -> Json {
-    Json::Str(a.to_string())
+fn encode_action(w: &mut Writer<'_>, a: RecoveryAction) {
+    w.str(&a.to_string());
 }
 
 fn decode_action(v: &Json, ctx: &str) -> R<RecoveryAction> {
@@ -713,17 +718,17 @@ fn decode_action(v: &Json, ctx: &str) -> R<RecoveryAction> {
     }
 }
 
-fn encode_event(e: &RecoveryEvent) -> Json {
-    Json::obj([
-        ("at_hours", Json::Num(e.at_hours)),
-        ("step", Json::Num(e.step as f64)),
-        ("action", encode_action(e.action)),
-        ("policy", encode_policy(e.policy)),
-        ("cells_refreshed", Json::Num(e.cells_refreshed as f64)),
-        ("flagged", Json::Num(e.flagged as f64)),
-        ("repaired", Json::Num(e.repaired as f64)),
-        ("energy_j", Json::Num(e.energy.0)),
-    ])
+fn encode_event(w: &mut Writer<'_>, e: &RecoveryEvent) {
+    w.open_obj();
+    w.key("at_hours").num(e.at_hours);
+    w.key("step").num(e.step as f64);
+    encode_action(w.key("action"), e.action);
+    encode_policy(w.key("policy"), e.policy);
+    w.key("cells_refreshed").num(e.cells_refreshed as f64);
+    w.key("flagged").num(e.flagged as f64);
+    w.key("repaired").num(e.repaired as f64);
+    w.key("energy_j").num(e.energy.0);
+    w.close_obj();
 }
 
 fn decode_event(v: &Json) -> R<RecoveryEvent> {
@@ -739,22 +744,19 @@ fn decode_event(v: &Json) -> R<RecoveryEvent> {
     })
 }
 
-fn encode_supervisor(state: &SupervisorState) -> Json {
-    Json::obj([
-        ("model", encode_model(&state.model)),
-        ("monitor", encode_monitor(&state.monitor)),
-        (
-            "calib_shape",
-            Json::Arr(state.calib.shape().iter().map(|&d| Json::Num(d as f64)).collect()),
-        ),
-        ("calib_data", jf32s(state.calib.as_slice())),
-        ("now_hours", Json::Num(state.now_hours)),
-        ("last_scrub_hours", Json::Num(state.last_scrub_hours)),
-        ("step", Json::Num(state.step as f64)),
-        ("engaged_tier", encode_policy(state.engaged_tier)),
-        ("commissioned", Json::Bool(state.commissioned)),
-        ("events", Json::Arr(state.events.iter().map(encode_event).collect())),
-    ])
+fn encode_supervisor(w: &mut Writer<'_>, state: &SupervisorState) {
+    w.open_obj();
+    encode_model(w.key("model"), &state.model);
+    encode_monitor(w.key("monitor"), &state.monitor);
+    w.key("calib_shape").arr(state.calib.shape().iter().map(|&d| d as f64), Writer::num);
+    write_f32s(w.key("calib_data"), state.calib.as_slice());
+    w.key("now_hours").num(state.now_hours);
+    w.key("last_scrub_hours").num(state.last_scrub_hours);
+    w.key("step").num(state.step as f64);
+    encode_policy(w.key("engaged_tier"), state.engaged_tier);
+    w.key("commissioned").bool(state.commissioned);
+    w.key("events").arr(&state.events, encode_event);
+    w.close_obj();
 }
 
 fn decode_supervisor(v: &Json) -> R<SupervisorState> {
@@ -1118,6 +1120,34 @@ mod tests {
         ];
         let missing: Vec<_> = all.iter().filter(|k| !kinds.contains(**k)).collect();
         assert!(missing.is_empty(), "block kinds never encoded: {missing:?}");
+    }
+
+    /// A checkpoint taken on one pool width restores onto a twin that
+    /// runs another, and the two dies continue bit-identically through
+    /// serve → step → serve, from 1 worker to 4 and from 4 to 1.
+    #[test]
+    fn restore_across_pool_widths_is_bit_identical() {
+        let case = Case { seed: 0x71D7, hidden: 16, defects: true, spares: 2, schedule: 1 };
+        for (from, to) in [(1, 4), (4, 1)] {
+            let label = format!("pool width {from} -> {to}");
+            let mut a = build_die(&case);
+            a.set_threads(from);
+            drive(&mut a, &case);
+            let mut b = build_die(&case);
+            b.set_threads(to);
+            b.restore_from_str(&a.checkpoint()).expect("restore");
+
+            let probe = small_inputs(3, 0x3D);
+            let (ra, rb) = (a.serve_predict(&probe, 0x41), b.serve_predict(&probe, 0x41));
+            assert_pred_eq(&ra.predictive, &rb.predictive, &label);
+            let (sa, sb) = (a.step(&probe, 25.0), b.step(&probe, 25.0));
+            assert_pred_eq(&sa.predictive, &sb.predictive, &label);
+            let (ta, tb) = (a.serve_predict(&probe, 0x42), b.serve_predict(&probe, 0x42));
+            assert_pred_eq(&ta.predictive, &tb.predictive, &label);
+            // Replica passes tally into the model-wide counter, not the
+            // crossbars', so only the totals compare across widths.
+            assert_eq!(a.model().counter(), b.model().counter(), "{label}: op totals diverged");
+        }
     }
 
     /// Re-serializes a parsed checkpoint after mutating its top-level

@@ -190,22 +190,138 @@ fn write_number(out: &mut String, x: f64) {
 
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Every byte that needs escaping is ASCII, so the runs between them
+    // end on char boundaries and go out with one `push_str` each.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x08 => Some("\\b"),
+            0x0c => Some("\\f"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match short {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// A compact JSON writer that streams into a `String` without building
+/// a [`Json`] tree. A sequence of calls describing a value emits exactly
+/// the bytes `to_string()` gives for the equivalent tree: the caller
+/// opens and closes containers, names each object member with
+/// [`Writer::key`], and the writer places the commas. Numbers go through
+/// the same non-finite guard as the tree writer.
+pub struct Writer<'a> {
+    out: &'a mut String,
+    /// Whether the next value or key needs a separating comma.
+    comma: bool,
+}
+
+impl<'a> Writer<'a> {
+    /// A writer appending to `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        Writer { out, comma: false }
+    }
+
+    /// Bytes written to the underlying string so far (including what it
+    /// held before the writer was made).
+    pub fn offset(&self) -> usize {
+        self.out.len()
+    }
+
+    fn sep(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+    }
+
+    /// Starts an object (`{`).
+    pub fn open_obj(&mut self) {
+        self.sep();
+        self.out.push('{');
+        self.comma = false;
+    }
+
+    /// Ends the innermost object (`}`).
+    pub fn close_obj(&mut self) {
+        self.out.push('}');
+        self.comma = true;
+    }
+
+    /// An array holding one element per item, each written by `each`:
+    /// `w.arr(xs.iter().copied(), Writer::num)`.
+    pub fn arr<T>(
+        &mut self,
+        items: impl IntoIterator<Item = T>,
+        mut each: impl FnMut(&mut Self, T),
+    ) {
+        self.sep();
+        self.out.push('[');
+        self.comma = false;
+        for item in items {
+            each(self, item);
+        }
+        self.out.push(']');
+        self.comma = true;
+    }
+
+    /// Names the next object member; write its value next.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.sep();
+        write_escaped(self.out, key);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// `null`.
+    pub fn null(&mut self) {
+        self.sep();
+        self.out.push_str("null");
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.sep();
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// A number.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not finite, like the tree writer.
+    pub fn num(&mut self, x: f64) {
+        self.sep();
+        write_number(self.out, x);
+    }
+
+    /// A string.
+    pub fn str(&mut self, s: &str) {
+        self.sep();
+        write_escaped(self.out, s);
+    }
+
+    /// A `u64` as a string of lowercase hex digits: exact where a JSON
+    /// number (an `f64`) is exact only to 2⁵³.
+    pub fn hex(&mut self, x: u64) {
+        self.sep();
+        let _ = write!(self.out, "\"{x:x}\"");
+    }
 }
 
 /// A parse error, with byte offset into the input.
@@ -609,6 +725,92 @@ mod tests {
                 other => panic!("U+{code:04X}: expected string, got {other:?}"),
             }
         }
+    }
+
+    /// The char-at-a-time escaper the run-based one replaced.
+    fn escaped_oracle(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{8}' => out.push_str("\\b"),
+                '\u{c}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn escaper_matches_char_oracle() {
+        let mut cases: Vec<String> = vec![
+            String::new(),
+            "plain ascii".into(),
+            "\"quoted\" and back\\slash\\".into(),
+            "\"\"\\\\".into(),
+            "naïve — Ωμέγα 漢字 🦀 \u{7f}".into(),
+            "é\u{1}ü\n🦀\"".into(),
+        ];
+        for code in 0u32..0x20 {
+            let c = char::from_u32(code).unwrap();
+            cases.push(c.to_string());
+            cases.push(format!("a{c}z"));
+            cases.push(format!("é{c}{c}🦀"));
+        }
+        for case in &cases {
+            let mut out = String::new();
+            write_escaped(&mut out, case);
+            assert_eq!(out, escaped_oracle(case), "{case:?}");
+        }
+    }
+
+    #[test]
+    fn writer_matches_tree_serialization() {
+        let tree = Json::obj([
+            ("a", Json::Arr(vec![Json::Num(1.5), Json::Null, Json::Bool(true)])),
+            ("k\"ey", Json::Str("v\n".into())),
+            ("empty", Json::obj::<&str>([])),
+            ("nested", Json::Arr(vec![Json::Arr(vec![]), Json::obj([("x", Json::Num(-0.0))])])),
+            ("hex", Json::Str("ff".into())),
+        ]);
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.open_obj();
+        w.key("a").arr([0, 1, 2], |w, i| match i {
+            0 => w.num(1.5),
+            1 => w.null(),
+            _ => w.bool(true),
+        });
+        w.key("k\"ey").str("v\n");
+        w.key("empty").open_obj();
+        w.close_obj();
+        w.key("nested").arr([false, true], |w, obj| {
+            if obj {
+                w.open_obj();
+                w.key("x").num(-0.0);
+                w.close_obj();
+            } else {
+                w.arr([0.0; 0], Writer::num);
+            }
+        });
+        w.key("hex").hex(255);
+        w.close_obj();
+        assert_eq!(out, tree.to_string());
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite")]
+    fn writer_rejects_non_finite() {
+        let mut out = String::new();
+        Writer::new(&mut out).arr([1.0, f64::NEG_INFINITY], Writer::num);
     }
 
     #[test]

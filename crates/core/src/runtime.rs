@@ -702,7 +702,13 @@ impl Supervisor {
     fn maybe_checkpoint(&mut self) {
         let interval = self.config.checkpoint_interval_steps;
         if interval > 0 && self.step.is_multiple_of(interval) {
-            self.last_checkpoint = Some(self.checkpoint());
+            // The size is no span field: it depends on the pool width.
+            let _span = crate::span!("checkpoint", step = self.step);
+            // The previous checkpoint's buffer already fits this one.
+            let mut buf = self.last_checkpoint.take().unwrap_or_default();
+            Checkpoint::encode_into(&self.export_state(), &mut buf);
+            crate::telemetry::gauge("checkpoint_bytes").set(buf.len() as f64);
+            self.last_checkpoint = Some(buf);
             self.checkpoint_seq += 1;
         }
     }
