@@ -40,6 +40,10 @@
 //! unknown formats, version skew, and checksum mismatches with a typed
 //! [`CheckpointError`] — a truncated or bit-rotted checkpoint is
 //! refused, never half-applied.
+//!
+//! Encoding streams the state through `json::Writer` in one pass, with
+//! no value tree, and patches the checksum in last; decoding parses the
+//! document into a [`Json`] tree and reads the state from it.
 
 use crate::blocks::BlockState;
 use crate::health::MonitorState;

@@ -224,7 +224,7 @@ fn write_escaped(out: &mut String, s: &str) {
 /// opens and closes containers, names each object member with
 /// [`Writer::key`], and the writer places the commas. Numbers go through
 /// the same non-finite guard as the tree writer.
-pub struct Writer<'a> {
+pub(crate) struct Writer<'a> {
     out: &'a mut String,
     /// Whether the next value or key needs a separating comma.
     comma: bool,
